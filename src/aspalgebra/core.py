@@ -288,6 +288,21 @@ class Program:
         """The same rules re-homed to a (usually larger) alphabet."""
         return Program(alphabet, self.rules)
 
+    def rename(self, mapping: Mapping[str, str]) -> "Program":
+        """Every atom `a` replaced by `mapping.get(a, a)`, over the same
+        alphabet; for a permutation pi this is `pi . P . pi^d`."""
+
+        def image(atoms: frozenset[str]) -> frozenset[str]:
+            return frozenset(mapping.get(a, a) for a in atoms)
+
+        return Program(
+            self.alphabet,
+            frozenset(
+                Rule(mapping.get(r.head, r.head), image(r.pos_body), image(r.neg_body))
+                for r in self.rules
+            ),
+        )
+
     def dual(self) -> "Program":
         """Swap heads and bodies of the proper rules; facts stay facts.
 

@@ -425,21 +425,8 @@ def _chk_body_split(p: Program, r: Program) -> bool:
 
 
 def _chk_perm_renames(perm: dict[str, str], p: Program) -> bool:
-    mapping = {a: perm.get(a, a) for a in p.alphabet}
     pp = permutation_program(p.alphabet, perm)
-    renamed = compose(compose(pp, p), pp.dual())
-    expected = Program(
-        p.alphabet,
-        frozenset(
-            Rule(
-                mapping[r.head],
-                frozenset(mapping[a] for a in r.pos_body),
-                frozenset(mapping[a] for a in r.neg_body),
-            )
-            for r in p.rules
-        ),
-    )
-    return renamed == expected
+    return compose(compose(pp, p), pp.dual()) == p.rename(perm)
 
 
 def _chk_perm_dual_unit(alphabet: Alphabet, perm: dict[str, str]) -> bool:
@@ -603,8 +590,9 @@ def _chk_as_minimal_model(p: Program, i: Interpretation) -> bool:
 
 
 def _chk_lm_least(h: Program) -> bool:
+    # omega, the paper's route, must reach the fixpoint iteration's model
     lm = least_model(h)
-    if not entails_program(lm, h):
+    if omega(h) != lm or not entails_program(lm, h):
         return False
     return all(
         lm.atoms <= x.atoms
@@ -645,7 +633,7 @@ def _chk_hierarchy(p: Program, r: Program) -> bool:
     strong = se_models(p) == se_models(r)
     uniform = uniformly_equivalent(p, r).equivalent
     ordinary = equivalent(p, r)
-    subsuming = subsumption_equivalent(p, r)
+    subsuming = subsumption_equivalent(p, r).equivalent
     return (
         (not strong or uniform)
         and (not uniform or ordinary)

@@ -4,30 +4,30 @@ Entailment, the one-step consequence operator, the four reducts (left,
 right/FLP, Gelfond-Lifschitz, and the restriction), least models of Horn
 programs, answer sets, and the equivalence notions up to strong equivalence.
 
-Everything that can be computed both directly and through composition is
-computed both ways; a disagreement raises InternalMismatchError instead of
-silently picking a side.  The direct one-step operator `tp_direct` is the
-semantic ground truth.  `least_model` is memoized: its two routes are
-computed and compared once for each distinct program, and later calls return
-that verified value from the cache.
+Each operation has one direct implementation, and the library itself only
+uses that one: the one-step operator `tp_direct`, least models by fixpoint
+iteration, the reducts by their definitions, and the equivalences through
+answer sets of `P u context` and SE-models.  The algebraic routes of the
+paper (`tp` as composition with an interpretation, `omega`, the algebraic
+GL/FLP reducts, `star(J) . P` as a fact context) stay public and return
+their own result; that they agree with the direct routes is stated once, as
+laws in `lawcheck`'s registry (see the README for the law ids).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .compose import compose, cup, kleene_star, kleene_plus, ominus, omega
+from .compose import compose, cup, ominus
 from .core import (
     Alphabet,
     Interpretation,
     Program,
     Rule,
     require_same_alphabet,
-    unit_program,
 )
 from .errors import (
     AlphabetTooLargeError,
@@ -71,15 +71,13 @@ def tp_direct(program: Program, interpretation: Interpretation) -> Interpretatio
 
 
 def tp(program: Program, interpretation: Interpretation) -> Interpretation:
-    """One-step consequences via composition, checked against `tp_direct`."""
+    """One-step consequences via composition: the facts of `P . I`.
+
+    Equal to `tp_direct` by the law `tp-is-composition`; the library itself
+    uses `tp_direct`.
+    """
     composed = compose(program, interpretation.to_program())
-    result = Interpretation(program.alphabet, composed.fact_atoms())
-    direct = tp_direct(program, interpretation)
-    if result != direct:
-        raise InternalMismatchError(
-            f"composition route gave {result} but the direct operator gave {direct}"
-        )
-    return result
+    return Interpretation(program.alphabet, composed.fact_atoms())
 
 
 # -- reducts ----------------------------------------------------------------
@@ -121,18 +119,9 @@ def gl_reduct(program: Program, interpretation: Interpretation) -> Program:
 
 
 def restrict(program: Program, interpretation: Interpretation) -> Program:
-    """Rules whose head and body are both over the interpretation.
-
-    Computed as left-after-right and right-after-left reducts, which must
-    agree.
-    """
-    one = left_reduct(right_reduct(program, interpretation), interpretation)
-    other = right_reduct(left_reduct(program, interpretation), interpretation)
-    if one != other:
-        raise InternalMismatchError(
-            f"reduct orders disagree on restriction: {one} vs {other}"
-        )
-    return one
+    """Rules whose head and body are both over the interpretation: the left
+    reduct of the right reduct (the two reducts commute)."""
+    return left_reduct(right_reduct(program, interpretation), interpretation)
 
 
 def _singleton(program: Program, rule: Rule) -> Program:
@@ -145,8 +134,10 @@ def _unit_on(alphabet: Alphabet, atoms: frozenset[str]) -> Program:
 
 def gl_reduct_algebraic(program: Program, interpretation: Interpretation) -> Program:
     """GL reduct through the algebra: union over rules of
-    `{positive part} cup ({negative part} . I)`, checked against the direct
-    reduct."""
+    `{positive part} cup ({negative part} . I)`.
+
+    Equal to `gl_reduct` by the law `gl-reduct-algebraic-agrees`.
+    """
     require_same_alphabet(program, interpretation)
     facts = interpretation.to_program()
     rules: set[Rule] = set()
@@ -156,23 +147,17 @@ def gl_reduct_algebraic(program: Program, interpretation: Interpretation) -> Pro
             compose(_singleton(program, rule.negative_part()), facts),
         )
         rules |= piece.rules
-    result = Program(program.alphabet, frozenset(rules))
-    direct = gl_reduct(program, interpretation)
-    if result != direct:
-        raise InternalMismatchError(
-            f"algebraic GL reduct {result} differs from direct {direct}"
-        )
-    return result
+    return Program(program.alphabet, frozenset(rules))
 
 
 def flp_reduct_algebraic(program: Program, interpretation: Interpretation) -> Program:
     """FLP reduct through the algebra: union over rules of
-    `({positive part} . 1_I) cup ({negative part} . I^-)`, checked against
-    the direct reduct.
+    `({positive part} . 1_I) cup ({negative part} . I^-)`.
 
     `1_I` keeps a positive part exactly when its body holds in I, and
     composing a negative part with the remover `I^-` keeps it, literals
-    intact, exactly when none of its atoms lies in I.
+    intact, exactly when none of its atoms lies in I.  Equal to
+    `right_reduct` by the law `flp-reduct-algebraic-agrees`.
     """
     require_same_alphabet(program, interpretation)
     unit_i = _unit_on(program.alphabet, interpretation.atoms)
@@ -184,71 +169,40 @@ def flp_reduct_algebraic(program: Program, interpretation: Interpretation) -> Pr
             compose(_singleton(program, rule.negative_part()), remover),
         )
         rules |= piece.rules
-    result = Program(program.alphabet, frozenset(rules))
-    direct = right_reduct(program, interpretation)
-    if result != direct:
-        raise InternalMismatchError(
-            f"algebraic FLP reduct {result} differs from direct {direct}"
-        )
-    return result
+    return Program(program.alphabet, frozenset(rules))
 
 
 # -- models and fixpoints -----------------------------------------------------
 
 
 def is_model(program: Program, interpretation: Interpretation) -> bool:
-    """True when composing with the interpretation stays inside it."""
-    composed = compose(program, interpretation.to_program()).fact_atoms()
-    via_compose = composed <= interpretation.atoms
-    via_tp = tp_direct(program, interpretation).atoms <= interpretation.atoms
-    if via_compose != via_tp:
-        raise InternalMismatchError(
-            f"model checks disagree on {interpretation}: "
-            f"composition {via_compose}, direct operator {via_tp}"
-        )
-    return via_compose
+    """True when the interpretation is a prefixpoint of the consequence
+    operator (laws `model-iff-prefixpoint`, `tp-is-composition`)."""
+    return tp_direct(program, interpretation).atoms <= interpretation.atoms
 
 
 def is_supported_model(program: Program, interpretation: Interpretation) -> bool:
     """True when the interpretation is a fixpoint of the consequence operator."""
-    composed = compose(program, interpretation.to_program()).fact_atoms()
-    via_compose = composed == interpretation.atoms
-    via_tp = tp_direct(program, interpretation).atoms == interpretation.atoms
-    if via_compose != via_tp:
-        raise InternalMismatchError(
-            f"supportedness checks disagree on {interpretation}: "
-            f"composition {via_compose}, direct operator {via_tp}"
-        )
-    return via_compose
+    return tp_direct(program, interpretation) == interpretation
 
 
-def _lfp_by_iteration(horn: Program) -> Interpretation:
+@lru_cache(maxsize=8192)
+def least_model(horn: Program) -> Interpretation:
+    """Least model of a Horn program, by iterating `tp_direct` from the
+    empty interpretation to its fixpoint.
+
+    Memoized in a bounded cache; errors are not cached, so a non-Horn program
+    raises on every call.  That `omega` gives the same interpretation is
+    checked by the law `least-model-is-least`.
+    """
+    if not horn.is_horn:
+        raise NotHornError("least models are defined for Horn programs only")
     current = Interpretation(horn.alphabet)
     while True:
         step = tp_direct(horn, current)
         if step == current:
             return current
         current = step
-
-
-@lru_cache(maxsize=8192)
-def least_model(horn: Program) -> Interpretation:
-    """Least model of a Horn program, via omega and via fixpoint iteration.
-
-    Both routes run, and are compared, on the first call for a given
-    program; later calls return the verified result from a bounded cache.
-    Errors are not cached, so a non-Horn program or a route mismatch raises
-    on every call.
-    """
-    if not horn.is_horn:
-        raise NotHornError("least models are defined for Horn programs only")
-    via_omega = omega(horn)
-    via_iteration = _lfp_by_iteration(horn)
-    if via_omega != via_iteration:
-        raise InternalMismatchError(
-            f"omega gave {via_omega} but fixpoint iteration gave {via_iteration}"
-        )
-    return via_omega
 
 
 def all_interpretations(alphabet: Alphabet) -> Iterator[Interpretation]:
@@ -271,12 +225,7 @@ def _check_enumeration_bound(alphabet: Alphabet, max_atoms: int) -> None:
 
 
 def is_answer_set(program: Program, interpretation: Interpretation) -> bool:
-    """True when the interpretation is the least model of its GL reduct.
-
-    `least_model` computes the least model of each distinct reduct along two
-    routes, so the omega characterization and the definitional fixpoint test
-    stay coupled.
-    """
+    """True when the interpretation is the least model of its GL reduct."""
     reduct = gl_reduct(program, interpretation)
     return least_model(reduct) == interpretation
 
@@ -300,7 +249,9 @@ class EquivalenceReport:
 
     For a negative verdict, `context` is a program such that the two operands
     joined with it have different answer sets, and the two answer-set tuples
-    are recorded.  Ordinary equivalence reports use the empty context.
+    are recorded.  Subsumption reports carry only the facts of an
+    interpretation on which the one-step consequences differ; ordinary
+    equivalence reports carry no context.
     """
 
     equivalent: bool
@@ -319,21 +270,29 @@ def equivalent(
 
 def subsumption_equivalent(
     left: Program, right: Program, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> bool:
-    """Equal one-step consequences on every interpretation."""
+) -> EquivalenceReport:
+    """Equal one-step consequences on every interpretation: `P . I = R . I`
+    for every I, decided with `tp_direct` (law `tp-is-composition`).
+
+    A negative verdict carries the facts of the first interpretation, in
+    canonical order, on which the consequences differ.
+    """
     require_same_alphabet(left, right)
     _check_enumeration_bound(left.alphabet, max_atoms)
     for i in all_interpretations(left.alphabet):
-        facts = i.to_program()
-        if compose(left, facts) != compose(right, facts):
-            return False
-    return True
+        if tp_direct(left, i) != tp_direct(right, i):
+            return EquivalenceReport(False, i.to_program())
+    return EquivalenceReport(True)
 
 
-def _answer_sets_union(
-    program: Program, context: Program, max_atoms: int
-) -> tuple[Interpretation, ...]:
-    return answer_sets(program.union(context), max_atoms)
+def _distinguishing_report(
+    left: Program, right: Program, context: Program, max_atoms: int
+) -> EquivalenceReport | None:
+    left_as = answer_sets(left.union(context), max_atoms)
+    right_as = answer_sets(right.union(context), max_atoms)
+    if left_as != right_as:
+        return EquivalenceReport(False, context, left_as, right_as)
+    return None
 
 
 def uniformly_equivalent(
@@ -341,26 +300,16 @@ def uniformly_equivalent(
 ) -> EquivalenceReport:
     """Same answer sets under every fact context.
 
-    Each context J is applied along two routes, `star(J) . P` and `P u J`,
-    which must agree; their divergence would be an internal error.
+    Each context J is applied as `P u J`; a negative verdict carries the
+    first separating J in canonical order.  The paper's route `star(J) . P`
+    gives the same answer sets by the law `context-extension-routes-agree`.
     """
     require_same_alphabet(left, right)
     _check_enumeration_bound(left.alphabet, max_atoms)
     for j in all_interpretations(left.alphabet):
-        context = j.to_program()
-        star_ctx = kleene_star(context)
-        sides = []
-        for program in (left, right):
-            via_star = answer_sets(compose(star_ctx, program), max_atoms)
-            via_union = _answer_sets_union(program, context, max_atoms)
-            if via_star != via_union:
-                raise InternalMismatchError(
-                    f"context routes disagree under {j}: star gave "
-                    f"{via_star}, union gave {via_union}"
-                )
-            sides.append(via_star)
-        if sides[0] != sides[1]:
-            return EquivalenceReport(False, context, sides[0], sides[1])
+        report = _distinguishing_report(left, right, j.to_program(), max_atoms)
+        if report is not None:
+            return report
     return EquivalenceReport(True)
 
 
@@ -384,41 +333,17 @@ def se_models(program: Program, max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset
     return frozenset(out)
 
 
-def _sample_context(alphabet: Alphabet, rng: random.Random) -> Program:
-    atoms = alphabet.atoms
-    rules: set[Rule] = set()
-    for _ in range(rng.randint(0, 4)):
-        pos: set[str] = set()
-        neg: set[str] = set()
-        for _ in range(rng.randint(0, 2)):
-            (neg if rng.random() < 0.5 else pos).add(rng.choice(atoms))
-        rules.add(Rule(rng.choice(atoms), frozenset(pos), frozenset(neg)))
-    return Program(alphabet, frozenset(rules))
-
-
-def _distinguishing_report(
-    left: Program, right: Program, context: Program, max_atoms: int
-) -> EquivalenceReport | None:
-    left_as = _answer_sets_union(left, context, max_atoms)
-    right_as = _answer_sets_union(right, context, max_atoms)
-    if left_as != right_as:
-        return EquivalenceReport(False, context, left_as, right_as)
-    return None
-
-
 def strongly_equivalent(
-    left: Program,
-    right: Program,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-    context_samples: int = 24,
+    left: Program, right: Program, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> EquivalenceReport:
     """Same answer sets under every program context.
 
-    Decided by comparing the sets of SE-models.  A positive verdict is
-    additionally exercised on sampled contexts, which must never distinguish
-    the programs; a negative verdict always carries a concrete verified
-    distinguishing context (facts where possible, otherwise a chain context
-    built from a differing SE-model).
+    Decided by comparing the sets of SE-models (the law
+    `se-agreement-implies-context-agreement` checks the positive direction
+    on sampled contexts).  A negative verdict carries a concrete verified
+    distinguishing context: facts where possible, otherwise a chain context
+    built from a differing SE-model.  Finding none is a library bug and
+    raises InternalMismatchError.
     """
     require_same_alphabet(left, right)
     _check_enumeration_bound(left.alphabet, max_atoms)
@@ -426,15 +351,6 @@ def strongly_equivalent(
     se_left = se_models(left, max_atoms)
     se_right = se_models(right, max_atoms)
     if se_left == se_right:
-        rng = random.Random(0x5E0)
-        for _ in range(context_samples):
-            context = _sample_context(alphabet, rng)
-            report = _distinguishing_report(left, right, context, max_atoms)
-            if report is not None:
-                raise InternalMismatchError(
-                    f"SE-models agree but context {context} distinguishes "
-                    f"the programs"
-                )
         return EquivalenceReport(True)
 
     # Classical-model difference: the facts of the differing model do it.

@@ -319,7 +319,7 @@ def test_criterion_7_equivalence_hierarchy():
         strong = strongly_equivalent(left, right).equivalent
         uniform = uniformly_equivalent(left, right).equivalent
         ordinary = equivalent(left, right)
-        subsumed = subsumption_equivalent(left, right)
+        subsumed = subsumption_equivalent(left, right).equivalent
         positives += strong
         if strong and not uniform:
             violations += 1

@@ -2,7 +2,9 @@
 
 import json
 
+from aspalgebra import cli
 from aspalgebra.cli import main
+from aspalgebra.errors import InternalMismatchError
 
 CHOICE = "#alphabet a, b.\na :- not b.\nb :- not a.\n"
 FACT_A = "#alphabet a, b.\na.\n"
@@ -188,6 +190,19 @@ def test_enumeration_cap_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "answer-sets", "--max-atoms", "1", choice)
     assert code == 3
     assert "enumeration is capped at 1" in err
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a route disagreement is a library bug: its own exit code, not exit 2
+    def disagree(args):
+        raise InternalMismatchError("two routes disagree")
+
+    monkeypatch.setattr(cli, "_cmd_answer_sets", disagree)
+    choice = write(tmp_path, "choice.lp", CHOICE)
+    code, out, err = run(capsys, "answer-sets", choice)
+    assert code == 4
+    assert out == ""
+    assert err == "internal error: two routes disagree\n"
 
 
 def test_no_subcommand_prints_help(capsys):

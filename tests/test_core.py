@@ -181,6 +181,18 @@ def test_with_alphabet_rehomes():
     assert q.rules == p.rules
 
 
+def test_rename_maps_every_atom_and_keeps_the_alphabet():
+    p = Program(
+        A3,
+        frozenset({Rule.fact("a"), Rule("b", frozenset({"a"}), frozenset({"c"}))}),
+    )
+    renamed = p.rename({"a": "b", "b": "a"})  # c is a fixed point
+    assert renamed.alphabet == A3
+    assert renamed.rules == frozenset(
+        {Rule.fact("b"), Rule("a", frozenset({"b"}), frozenset({"c"}))}
+    )
+
+
 def test_dual_swaps_heads_and_bodies():
     p = Program(
         A3,

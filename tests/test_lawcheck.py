@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from aspalgebra import lawcheck
 from aspalgebra.compose import compose
+from aspalgebra.core import Interpretation
 from aspalgebra.lawcheck import (
     HOLDS,
     LAW,
@@ -103,6 +105,21 @@ def test_run_laws_is_deterministic():
 def test_run_laws_matches_in_process_run_law():
     assert run_laws(CFG, trials=25) == [run_law(law, CFG, 25) for law in REGISTRY]
     assert multiprocessing.active_children() == []
+
+
+def test_omega_disagreement_refutes_least_model_law(monkeypatch):
+    # omega against fixpoint iteration is checked by the law, not inside
+    # least_model: a wrong omega is a refutation with a replayable witness
+    law = get_law("least-model-is-least")
+    monkeypatch.setattr(
+        lawcheck, "omega", lambda h: Interpretation(h.alphabet, frozenset(h.alphabet))
+    )
+    result = run_law(law, CFG, trials=50)
+    assert result.verdict == REFUTED
+    assert not result.as_expected
+    assert replay_witness(law, result.witness) is False
+    monkeypatch.undo()
+    assert replay_witness(law, result.witness) is True
 
 
 def test_non_law_witnesses_replay():

@@ -116,6 +116,11 @@ def test_reducts():
     assert flp_reduct(p, i) == right_reduct(p, i)
     assert gl_reduct(p, i) == parse_program("#alphabet a, b, c.\na.\nb :- a.\nc :- b.")
     assert restrict(p, i) == parse_program("#alphabet a, b, c.\na.\nb :- a, not c.")
+    # the left and right reducts commute, so either order restricts
+    rng = random.Random(12)
+    for q in [p] + [_random_program(rng, A3) for _ in range(30)]:
+        for j in all_interpretations(A3):
+            assert restrict(q, j) == right_reduct(left_reduct(q, j), j)
 
 
 def test_right_reduct_checks_negative_part_too():
@@ -212,11 +217,18 @@ def test_ordinary_equivalence():
 def test_subsumption_equivalence():
     left = parse_program("#alphabet a, b.\na.")
     right = parse_program("#alphabet a, b.\na.\na :- a.")
-    assert subsumption_equivalent(left, right)
+    report = subsumption_equivalent(left, right)
+    assert report.equivalent and report.context is None
     assert equivalent(left, right)
-    assert not subsumption_equivalent(
-        left, parse_program("#alphabet a, b.\na :- a.")
-    )
+    # the context is the facts of the first interpretation, in canonical
+    # order, on which the one-step consequences differ
+    report = subsumption_equivalent(left, parse_program("#alphabet a, b.\na :- a."))
+    assert not report.equivalent
+    assert report.context == Program(A2)
+    report = subsumption_equivalent(left, parse_program("#alphabet a, b.\na.\nb :- b."))
+    assert not report.equivalent
+    assert report.context == parse_program("#alphabet a, b.\na.\nb.")
+    assert report.left_answer_sets == report.right_answer_sets == ()
 
 
 def test_uniform_equivalence_distinguishes_fact_contexts():
@@ -271,6 +283,22 @@ def test_strong_equivalence_chain_witness():
     assert answer_sets(left | report.context) != answer_sets(right | report.context)
 
 
+def test_library_path_does_not_compose():
+    # the composition routes are checked once, by the laws; the semantic
+    # operations themselves never call compose
+    p = parse_program("#alphabet a, b, c.\na :- not b.\nb :- not a.\nc :- a.")
+    q = parse_program("#alphabet a, b, c.\na :- not b.\nb :- not a.\nc :- a, c.")
+    compose.cache_clear()
+    answer_sets(p)
+    for left, right in ((p, p), (p, q)):
+        uniformly_equivalent(left, right)
+        strongly_equivalent(left, right)
+        subsumption_equivalent(left, right)
+    assert not strongly_equivalent(p, q).equivalent
+    info = compose.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 def test_uniform_but_not_strong_direction_never_reverses():
     rng = random.Random(11)
     for _ in range(40):
@@ -283,7 +311,7 @@ def test_uniform_but_not_strong_direction_never_reverses():
             assert uni
         if uni:
             assert ordinary
-        if subsumption_equivalent(p, r):
+        if subsumption_equivalent(p, r).equivalent:
             assert ordinary
 
 
