@@ -88,10 +88,6 @@ def _load_programs(
     ]
 
 
-def _interp_atoms(text: str) -> list[str]:
-    return _split_names(text)
-
-
 def _literal_atoms(text: str) -> list[str]:
     names = []
     for piece in _split_names(text):
@@ -140,7 +136,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 def _cmd_reduct(args: argparse.Namespace) -> int:
     session, (program,) = _load_programs(
-        args, [args.program], _interp_atoms(args.interp)
+        args, [args.program], _split_names(args.interp)
     )
     interp = parse_interpretation(args.interp, session)
     fn = {
@@ -166,7 +162,7 @@ def _cmd_rename(args: argparse.Namespace) -> int:
 
 
 def _cmd_ominus(args: argparse.Namespace) -> int:
-    atoms = _interp_atoms(args.interp)
+    atoms = _split_names(args.interp)
     session = Alphabet(tuple(_flag_atoms(args) | set(atoms)))
     interp = parse_interpretation(args.interp, session)
     return _print_program(ominus(interp))
@@ -184,7 +180,7 @@ def _cmd_oplus(args: argparse.Namespace) -> int:
 
 def _cmd_tp(args: argparse.Namespace) -> int:
     session, (program,) = _load_programs(
-        args, [args.program], _interp_atoms(args.interp)
+        args, [args.program], _split_names(args.interp)
     )
     interp = parse_interpretation(args.interp, session)
     return _print_interpretation(tp_direct(program, interp))

@@ -2,17 +2,19 @@
 
 A registry of algebraic identities, each tagged with its expected verdict:
 `law` entries must hold on every sampled instance, `non-law` entries ship a
-stored counterexample that must refute them.  The engine runs a seeded
-random tier (reproducible: every trial's inputs derive from the master seed,
-the law id and the trial index) and an optional bounded-exhaustive tier over
-the two-atom universe of programs with at most two rules of at most two body
-literals.
+stored counterexample that must refute them.  Each entry is declared once, by
+the `_law` decorator on its check, and `REGISTRY` keeps declaration order.
+The engine runs a seeded random tier (reproducible: every trial's inputs
+derive from the master seed, the law id and the trial index) and an optional
+bounded-exhaustive tier over the two-atom universe of programs with at most
+two rules of at most two body literals.
 
-For multi-operand laws the full exhaustive product can be infeasible; slots
-over which the identity decomposes rule-by-rule are marked `reducible` and
-fall back to the single-rule sub-universe when the product exceeds the
-budget.  Refutations are greedily shrunk (rule removal) and serialized so
-they can be replayed.
+For multi-operand laws the full exhaustive product can be infeasible.  A law
+names in `single_rule` the program slots over which its identity decomposes
+rule by rule; the exhaustive tier draws those slots from the single-rule
+programs only.  How each slot kind is sampled, written as witness text, read
+back and shrunk is kept in one table, `_SLOTS`.  Refutations are greedily
+shrunk (rule removal) and serialized so they can be replayed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations, product
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from .compose import (
     compose,
@@ -76,9 +78,6 @@ NON_LAW = "non-law"
 HOLDS = "holds-on-sample"
 REFUTED = "refuted"
 
-#: Weighted-trial budget for one law's exhaustive tier.
-EXHAUSTIVE_BUDGET = 200_000
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -127,17 +126,20 @@ def _random_program(rng: random.Random, config: GeneratorConfig) -> Program:
     return Program(alphabet, rules)
 
 
+def _random_interp(rng: random.Random, config: GeneratorConfig) -> Interpretation:
+    alphabet = alphabet_for(config)
+    return Interpretation(
+        alphabet, frozenset(a for a in alphabet.atoms if rng.random() < 0.5)
+    )
+
+
 def generate_program(config: GeneratorConfig) -> Program:
     """The random program determined by the configuration (and its seed)."""
     return _random_program(random.Random(config.seed), config)
 
 
 def generate_interpretation(config: GeneratorConfig) -> Interpretation:
-    rng = random.Random(config.seed)
-    alphabet = alphabet_for(config)
-    return Interpretation(
-        alphabet, frozenset(a for a in alphabet if rng.random() < 0.5)
-    )
+    return _random_interp(random.Random(config.seed), config)
 
 
 def _derive_seed(master: int, *parts: object) -> int:
@@ -145,65 +147,140 @@ def _derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 
-def _sample_slot(kind: str, config: GeneratorConfig, seed: int):
-    rng = random.Random(seed)
+# -- slot kinds ------------------------------------------------------------------
+
+
+def _random_horn(rng: random.Random, config: GeneratorConfig) -> Program:
+    return _random_program(rng, replace(config, negative_literal_probability=0.0))
+
+
+def _random_krom(rng: random.Random, config: GeneratorConfig) -> Program:
     alphabet = alphabet_for(config)
     atoms = alphabet.atoms
-    if kind == "program":
-        return _random_program(rng, config)
-    if kind == "horn":
-        return _random_program(rng, replace(config, negative_literal_probability=0.0))
-    if kind == "krom":
-        rules = frozenset(
-            Rule(
+    rules = frozenset(
+        Rule(
+            rng.choice(atoms),
+            frozenset({rng.choice(atoms)} if rng.random() < 0.75 else set()),
+        )
+        for _ in range(rng.randint(0, config.max_rules))
+    )
+    return Program(alphabet, rules)
+
+
+def _random_negative(rng: random.Random, config: GeneratorConfig) -> Program:
+    alphabet = alphabet_for(config)
+    atoms = alphabet.atoms
+    rules = frozenset(
+        Rule(
+            rng.choice(atoms),
+            frozenset(),
+            frozenset(rng.choice(atoms) for _ in range(rng.randint(0, config.max_body))),
+        )
+        for _ in range(rng.randint(0, config.max_rules))
+    )
+    return Program(alphabet, rules)
+
+
+def _random_single_rule(rng: random.Random, config: GeneratorConfig) -> Program:
+    alphabet = alphabet_for(config)
+    rule = _random_rule(
+        rng, alphabet.atoms, config.max_body, config.negative_literal_probability
+    )
+    return Program(alphabet, frozenset({rule}))
+
+
+def _random_literals(rng: random.Random, config: GeneratorConfig) -> frozenset[Literal]:
+    atoms = alphabet_for(config).atoms
+    picked: set[Literal] = set()
+    for _ in range(rng.randint(0, config.max_body)):
+        picked.add(
+            Literal(
                 rng.choice(atoms),
-                frozenset({rng.choice(atoms)} if rng.random() < 0.75 else set()),
+                rng.random() < config.negative_literal_probability,
             )
-            for _ in range(rng.randint(0, config.max_rules))
         )
-        return Program(alphabet, rules)
-    if kind == "negative":
-        rules = frozenset(
-            Rule(
-                rng.choice(atoms),
-                frozenset(),
-                frozenset(rng.choice(atoms) for _ in range(rng.randint(0, config.max_body))),
-            )
-            for _ in range(rng.randint(0, config.max_rules))
-        )
-        return Program(alphabet, rules)
-    if kind == "rule":
-        return Program(
-            alphabet,
-            frozenset(
-                {
-                    _random_rule(
-                        rng, atoms, config.max_body, config.negative_literal_probability
-                    )
-                }
-            ),
-        )
-    if kind == "interp":
-        return Interpretation(
-            alphabet, frozenset(a for a in atoms if rng.random() < 0.5)
-        )
-    if kind == "literals":
-        picked: set[Literal] = set()
-        for _ in range(rng.randint(0, config.max_body)):
-            picked.add(
-                Literal(
-                    rng.choice(atoms),
-                    rng.random() < config.negative_literal_probability,
-                )
-            )
-        return frozenset(picked)
-    if kind == "perm":
-        images = list(atoms)
-        rng.shuffle(images)
-        return dict(zip(atoms, images))
-    if kind == "alphabet":
-        return alphabet
-    raise ValueError(f"unknown slot kind {kind!r}")
+    return frozenset(picked)
+
+
+def _random_perm(rng: random.Random, config: GeneratorConfig) -> dict[str, str]:
+    atoms = alphabet_for(config).atoms
+    images = list(atoms)
+    rng.shuffle(images)
+    return dict(zip(atoms, images))
+
+
+# Library functions are reached through module globals, never stored in the
+# table, so that rebinding a module attribute (as a tracer does) takes effect.
+
+
+def _program_text(program: Program) -> str:
+    return serialize_program(program)
+
+
+def _read_program(text: str, alphabet: Alphabet) -> Program:
+    return parse_program(text)
+
+
+def _read_interp(text: str, alphabet: Alphabet) -> Interpretation:
+    parsed = parse_program(text)
+    return Interpretation(parsed.alphabet, parsed.fact_atoms())
+
+
+def _literals_text(literals: frozenset[Literal]) -> str:
+    ordered = sorted(literals, key=lambda x: (x.negated, x.atom))
+    return ", ".join(str(l) for l in ordered)
+
+
+def _perm_text(perm: dict[str, str]) -> str:
+    if not perm:
+        return ""
+    alphabet = Alphabet(tuple(set(perm) | set(perm.values())))
+    return serialize_permutation(perm, alphabet)
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """One slot kind: how an operand is drawn, written as witness text and
+    read back (`parse` gets the witness's alphabet)."""
+
+    sample: Callable[[random.Random, GeneratorConfig], Any]
+    #: removing a rule keeps the operand in its kind, so witnesses shrink
+    shrinks: bool = False
+    text: Callable[[Any], str] = _program_text
+    parse: Callable[[str, Alphabet], Any] = _read_program
+    #: the witness text is a program; the first such text gives the alphabet
+    program_text: bool = True
+
+
+_SLOTS: dict[str, _Slot] = {
+    "program": _Slot(_random_program, shrinks=True),
+    "horn": _Slot(_random_horn, shrinks=True),
+    "krom": _Slot(_random_krom, shrinks=True),
+    "negative": _Slot(_random_negative, shrinks=True),
+    "rule": _Slot(_random_single_rule),
+    "interp": _Slot(
+        _random_interp,
+        text=lambda i: serialize_program(i.to_program()),
+        parse=_read_interp,
+    ),
+    "literals": _Slot(
+        _random_literals,
+        text=_literals_text,
+        parse=lambda text, alphabet: parse_literals(text, alphabet),
+        program_text=False,
+    ),
+    "perm": _Slot(
+        _random_perm,
+        text=_perm_text,
+        parse=lambda text, alphabet: parse_permutation(text),
+        program_text=False,
+    ),
+    "alphabet": _Slot(
+        lambda rng, config: alphabet_for(config),
+        text=lambda alphabet: serialize_program(Program(alphabet)),
+        parse=lambda text, alphabet: parse_program(text).alphabet,
+    ),
+}
 
 
 # -- the exhaustive two-atom universe -----------------------------------------
@@ -253,16 +330,21 @@ def _exhaustive_pools() -> dict[str, tuple]:
 
 @dataclass(frozen=True)
 class Law:
-    """One identity with its expected verdict and sampling shape."""
+    """One identity: its id, expected verdict, slot kinds and check.
+
+    `single_rule` names the program slots that the exhaustive tier draws from
+    the single-rule programs instead of the whole two-atom universe, for
+    identities that decompose rule by rule over those slots.
+    `fixed_witnesses` are stored operand tuples checked before any sampling;
+    every expected non-law has one that refutes it.
+    """
 
     law_id: str
     expected: str
     slots: tuple[str, ...]
     check: Callable[..., bool]
-    reducible: tuple[int, ...] = ()
-    cost_weight: int = 1
+    single_rule: tuple[int, ...] = ()
     fixed_witnesses: tuple[tuple, ...] = ()
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -278,6 +360,30 @@ class LawResult:
     @property
     def as_expected(self) -> bool:
         return (self.expected_verdict == LAW) == (self.verdict == HOLDS)
+
+
+_declared: list[Law] = []
+
+
+def _law(
+    law_id: str,
+    *slots: str,
+    expected: str = LAW,
+    single_rule: tuple[int, ...] = (),
+    witness: tuple | None = None,
+) -> Callable[[Callable[..., bool]], Callable[..., bool]]:
+    """Register the decorated check as law `law_id` over `slots`.
+
+    The check itself is returned, so that it stays a module-level function
+    the `run_laws` worker pool can pickle by name.
+    """
+
+    def declare(check: Callable[..., bool]) -> Callable[..., bool]:
+        witnesses = () if witness is None else (witness,)
+        _declared.append(Law(law_id, expected, slots, check, single_rule, witnesses))
+        return check
+
+    return declare
 
 
 # -- helpers used by the checks ------------------------------------------------
@@ -299,46 +405,69 @@ def _alphabet_facts(alphabet: Alphabet) -> Program:
     return Program.of_facts(alphabet, alphabet.atoms)
 
 
-# -- law checks ----------------------------------------------------------------
+def _p(alphabet: Alphabet, *rules: Rule) -> Program:
+    return Program(alphabet, frozenset(rules))
 
 
+# -- law checks, in registry order ---------------------------------------------
+
+
+@_law("compose-right-unit", "program")
 def _chk_right_unit(p: Program) -> bool:
     return compose(p, unit_program(p.alphabet)) == p
 
 
+@_law("compose-left-unit", "program")
 def _chk_left_unit(p: Program) -> bool:
     return compose(unit_program(p.alphabet), p) == p
 
 
+@_law("compose-left-zero-empty", "program")
 def _chk_left_zero(p: Program) -> bool:
     return compose(_empty(p), p) == _empty(p)
 
 
+@_law(
+    "compose-right-distributes-union",
+    "program",
+    "program",
+    "program",
+    single_rule=(0, 1),
+)
 def _chk_right_dist(p: Program, r: Program, q: Program) -> bool:
+    """Composition splits over the rules of its left operand."""
     return compose(p | r, q) == compose(p, q) | compose(r, q)
 
 
+@_law("compose-preserves-facts", "program", "program")
 def _chk_preserves_facts(p: Program, r: Program) -> bool:
     return p.facts().rules <= compose(p, r).rules
 
 
+@_law("compose-facts-proper-split", "program", "program")
 def _chk_facts_proper_split(p: Program, r: Program) -> bool:
     return compose(p, r) == p.facts() | compose(p.proper(), r)
 
 
+@_law("interpretation-left-zero", "interp", "program")
 def _chk_interp_left_zero(i: Interpretation, p: Program) -> bool:
     facts = i.to_program()
     return compose(facts, p) == facts
 
 
+@_law("krom-left-distributes-union", "krom", "program", "program", single_rule=(1,))
 def _chk_krom_left_dist(k: Program, p: Program, r: Program) -> bool:
+    """With a Krom-Horn left factor, union on the right splits."""
     return compose(k, p | r) == compose(k, p) | compose(k, r)
 
 
+@_law("krom-associates", "krom", "program", "program", single_rule=(1,))
 def _chk_krom_assoc(k: Program, p: Program, r: Program) -> bool:
+    """Single-rule middles suffice: the distribution laws lift them."""
     return compose(k, compose(p, r)) == compose(compose(k, p), r)
 
 
+@_law("krom-simplified-composition", "krom", "program")
 def _chk_krom_formula(k: Program, r: Program) -> bool:
     by_head = r.rules_by_head()
     out = {rule for rule in k.rules if rule.is_fact}
@@ -351,54 +480,62 @@ def _chk_krom_formula(k: Program, r: Program) -> bool:
     return Program(k.alphabet, frozenset(out)) == compose(k, r)
 
 
+@_law("horn-simplified-composition", "horn", "program")
 def _chk_horn_oracle(h: Program, r: Program) -> bool:
     return compose_oracle(h, r) == compose(h, r)
 
 
+@_law("negative-composition-hornified", "negative", "program")
 def _chk_negative_hornified(n: Program, r: Program) -> bool:
     return compose(n, r) == compose(n.hornified(), negate_program(r))
 
 
+@_law("negation-as-unit-composition", "program")
 def _chk_negation_unit_comp(p: Program) -> bool:
     nu = negate_program(unit_program(p.alphabet))
     return negate_program(p) == compose(nu, p)
 
 
-def _chk_negation_shift(p: Program, r: Program) -> bool:
-    return negate_program(compose(p, r)) == compose(negate_program(p), r)
-
-
+@_law("double-negation-unit", "alphabet")
 def _chk_double_negation_unit(alphabet: Alphabet) -> bool:
     u = unit_program(alphabet)
     nu = negate_program(u)
     return compose(nu, nu) == u and negate_program(nu) == u
 
 
+@_law("cup-commutes", "program", "program")
 def _chk_cup_commutes(p: Program, r: Program) -> bool:
     return cup(p, r) == cup(r, p)
 
 
+@_law("cup-associates", "program", "program", "program", single_rule=(0, 1))
 def _chk_cup_assoc(p: Program, r: Program, q: Program) -> bool:
+    """Cup is defined pairwise on rules, so single rules suffice."""
     return cup(cup(p, r), q) == cup(p, cup(r, q))
 
 
+@_law("cup-unit-alphabet", "program")
 def _chk_cup_unit(p: Program) -> bool:
     facts = _alphabet_facts(p.alphabet)
     return cup(p, facts) == p and cup(facts, p) == p
 
 
+@_law("cup-zero-empty", "program")
 def _chk_cup_zero(p: Program) -> bool:
     return cup(p, _empty(p)) == _empty(p) and cup(_empty(p), p) == _empty(p)
 
 
+@_law("cup-distributes-union-right", "program", "program", "program", single_rule=(0, 1))
 def _chk_cup_dist_right(p: Program, r: Program, q: Program) -> bool:
     return cup(p | r, q) == cup(p, q) | cup(r, q)
 
 
+@_law("cup-distributes-union-left", "program", "program", "program", single_rule=(0, 1))
 def _chk_cup_dist_left(p: Program, r: Program, q: Program) -> bool:
     return cup(q, p | r) == cup(q, p) | cup(q, r)
 
 
+@_law("cup-factors-composition-on-disjoint-bodies", "rule", "rule", "program")
 def _chk_cup_conditional_factor(r1: Program, r2: Program, q: Program) -> bool:
     (rule1,) = tuple(r1.rules)
     (rule2,) = tuple(r2.rules)
@@ -407,11 +544,13 @@ def _chk_cup_conditional_factor(r1: Program, r2: Program, q: Program) -> bool:
     return compose(cup(r1, r2), q) == cup(compose(r1, q), compose(r2, q))
 
 
+@_law("rule-splits-into-parts", "rule")
 def _chk_rule_parts(rp: Program) -> bool:
     (rule,) = tuple(rp.rules)
     return cup(_sing(rp, rule.positive_part()), _sing(rp, rule.negative_part())) == rp
 
 
+@_law("body-split-composition", "program", "program")
 def _chk_body_split(p: Program, r: Program) -> bool:
     not_r = negate_program(r)
     acc: set[Rule] = set()
@@ -424,24 +563,29 @@ def _chk_body_split(p: Program, r: Program) -> bool:
     return Program(p.alphabet, frozenset(acc)) == compose(p, r)
 
 
+@_law("permutation-renames", "perm", "program")
 def _chk_perm_renames(perm: dict[str, str], p: Program) -> bool:
     pp = permutation_program(p.alphabet, perm)
     return compose(compose(pp, p), pp.dual()) == p.rename(perm)
 
 
+@_law("permutation-dual-inverts", "alphabet", "perm")
 def _chk_perm_dual_unit(alphabet: Alphabet, perm: dict[str, str]) -> bool:
     pp = permutation_program(alphabet, perm)
     return compose(pp, pp.dual()) == unit_program(alphabet)
 
 
+@_law("fact-separation", "program")
 def _chk_fact_separation(p: Program) -> bool:
     return compose(kleene_star(p.facts()), p.proper()) == p
 
 
+@_law("union-of-facts-as-star", "program", "interp")
 def _chk_union_facts_star(p: Program, i: Interpretation) -> bool:
     return p | i.to_program() == compose(kleene_star(i.to_program()), p)
 
 
+@_law("interpretation-star", "interp")
 def _chk_interp_star(i: Interpretation) -> bool:
     facts = i.to_program()
     return (
@@ -451,6 +595,7 @@ def _chk_interp_star(i: Interpretation) -> bool:
     )
 
 
+@_law("tp-is-composition", "program", "interp")
 def _chk_tp_composition(p: Program, i: Interpretation) -> bool:
     composed = compose(p, i.to_program())
     return (
@@ -459,37 +604,46 @@ def _chk_tp_composition(p: Program, i: Interpretation) -> bool:
     )
 
 
+@_law("model-iff-prefixpoint", "program", "interp")
 def _chk_model_prefixpoint(p: Program, i: Interpretation) -> bool:
     holds = entails_program(i, p)
     return holds == (compose(p, i.to_program()).fact_atoms() <= i.atoms)
 
 
+@_law("supported-iff-composition-commutes", "program", "interp")
 def _chk_supported_commutes(p: Program, i: Interpretation) -> bool:
     facts = i.to_program()
     composed = compose(p, facts)
     return (composed == facts) == (composed == compose(facts, p))
 
 
+@_law("horn-gl-reduct-identity", "horn", "interp")
 def _chk_horn_gl_identity(h: Program, i: Interpretation) -> bool:
     return gl_reduct(h, i) == h
 
 
+@_law("left-reduct-via-unit", "program", "interp")
 def _chk_left_reduct_unit(p: Program, i: Interpretation) -> bool:
     return left_reduct(p, i) == compose(_restricted_unit(p.alphabet, i), p)
 
 
+@_law("horn-right-reduct-via-unit", "horn", "interp")
 def _chk_horn_right_reduct_unit(h: Program, i: Interpretation) -> bool:
     return right_reduct(h, i) == compose(h, _restricted_unit(h.alphabet, i))
 
 
+@_law("negative-gl-reduct-via-composition", "negative", "interp")
 def _chk_negative_gl_comp(n: Program, i: Interpretation) -> bool:
     return gl_reduct(n, i) == compose(n, i.to_program())
 
 
+@_law("negative-right-reduct-via-ominus", "negative", "interp")
 def _chk_negative_right_reduct_ominus(n: Program, i: Interpretation) -> bool:
+    """Composition with the remover keeps literals intact."""
     return right_reduct(n, i) == compose(n, ominus(i))
 
 
+@_law("negative-drops-negated-atoms", "negative", "interp")
 def _chk_negative_drops_negated(n: Program, i: Interpretation) -> bool:
     target = compose(n, _restricted_unit(n.alphabet, i.complement()))
     expected = Program(
@@ -499,44 +653,54 @@ def _chk_negative_drops_negated(n: Program, i: Interpretation) -> bool:
     return target == expected
 
 
+@_law("gl-reduct-distributes-union", "program", "program", "interp", single_rule=(0,))
 def _chk_gl_union(p: Program, r: Program, i: Interpretation) -> bool:
     return gl_reduct(p | r, i) == gl_reduct(p, i) | gl_reduct(r, i)
 
 
+@_law("gl-reduct-distributes-cup", "program", "program", "interp", single_rule=(0,))
 def _chk_gl_cup(p: Program, r: Program, i: Interpretation) -> bool:
     return gl_reduct(cup(p, r), i) == cup(gl_reduct(p, i), gl_reduct(r, i))
 
 
+@_law("left-reduct-distributes-union", "program", "program", "interp", single_rule=(0,))
 def _chk_left_union(p: Program, r: Program, i: Interpretation) -> bool:
     return left_reduct(p | r, i) == left_reduct(p, i) | left_reduct(r, i)
 
 
+@_law("left-reduct-distributes-cup", "program", "program", "interp", single_rule=(0,))
 def _chk_left_cup(p: Program, r: Program, i: Interpretation) -> bool:
     return left_reduct(cup(p, r), i) == cup(left_reduct(p, i), left_reduct(r, i))
 
 
+@_law("right-reduct-distributes-union", "program", "program", "interp", single_rule=(0,))
 def _chk_right_union(p: Program, r: Program, i: Interpretation) -> bool:
     return right_reduct(p | r, i) == right_reduct(p, i) | right_reduct(r, i)
 
 
+@_law("right-reduct-distributes-cup", "program", "program", "interp", single_rule=(0,))
 def _chk_right_cup(p: Program, r: Program, i: Interpretation) -> bool:
     return right_reduct(cup(p, r), i) == cup(right_reduct(p, i), right_reduct(r, i))
 
 
+@_law("horn-left-reduct-shifts", "horn", "horn", "interp")
 def _chk_horn_left_shift(h: Program, g: Program, i: Interpretation) -> bool:
     return left_reduct(compose(h, g), i) == compose(left_reduct(h, i), g)
 
 
+@_law("horn-right-reduct-shifts", "horn", "horn", "interp")
 def _chk_horn_right_shift(h: Program, g: Program, i: Interpretation) -> bool:
     return right_reduct(compose(h, g), i) == compose(h, right_reduct(g, i))
 
 
+@_law("interpretation-reducts", "interp", "interp")
 def _chk_interp_reducts(i: Interpretation, j: Interpretation) -> bool:
     facts = i.to_program()
     inter = Program.of_facts(i.alphabet, i.atoms & j.atoms)
     return left_reduct(facts, j) == inter and right_reduct(facts, j) == facts
 
 
+@_law("ominus-removes-body-atoms", "horn", "interp")
 def _chk_ominus_removes(h: Program, i: Interpretation) -> bool:
     expected = Program(
         h.alphabet, frozenset(Rule(r.head, r.pos_body - i.atoms) for r in h.rules)
@@ -544,11 +708,13 @@ def _chk_ominus_removes(h: Program, i: Interpretation) -> bool:
     return compose(h, ominus(i)) == expected
 
 
+@_law("ominus-restores-facts", "interp")
 def _chk_ominus_restores(i: Interpretation) -> bool:
     facts = i.to_program()
     return compose(ominus(i), facts) == facts
 
 
+@_law("oplus-extends-bodies", "horn", "literals")
 def _chk_oplus_extends(h: Program, lits: frozenset[Literal]) -> bool:
     ext = oplus(lits, h.alphabet)
     pos_extra = frozenset(l.atom for l in lits if not l.negated)
@@ -562,17 +728,20 @@ def _chk_oplus_extends(h: Program, lits: frozenset[Literal]) -> bool:
     return compose(h, ext) == Program(h.alphabet, frozenset(expected))
 
 
+@_law("oplus-ominus-collapse", "interp")
 def _chk_oplus_ominus_collapse(i: Interpretation) -> bool:
     plus = oplus(frozenset(Literal(a) for a in i.atoms), i.alphabet)
     return compose(plus, ominus(i)) == ominus(i)
 
 
+@_law("oplus-absorbs-interpretation", "interp")
 def _chk_oplus_absorbs(i: Interpretation) -> bool:
     plus = oplus(frozenset(Literal(a) for a in i.atoms), i.alphabet)
     facts = i.to_program()
     return compose(plus, facts) == facts
 
 
+@_law("answer-set-iff-minimal-model-of-right-reduct", "program", "interp")
 def _chk_as_minimal_model(p: Program, i: Interpretation) -> bool:
     reduct = right_reduct(p, i)
     minimal = entails_program(i, reduct)
@@ -589,6 +758,7 @@ def _chk_as_minimal_model(p: Program, i: Interpretation) -> bool:
     return is_answer_set(p, i) == minimal
 
 
+@_law("least-model-is-least", "horn")
 def _chk_lm_least(h: Program) -> bool:
     # omega, the paper's route, must reach the fixpoint iteration's model
     lm = least_model(h)
@@ -601,18 +771,22 @@ def _chk_lm_least(h: Program) -> bool:
     )
 
 
+@_law("horn-answer-sets-least-model", "horn")
 def _chk_horn_answer_sets(h: Program) -> bool:
     return answer_sets(h) == (least_model(h),)
 
 
+@_law("gl-reduct-algebraic-agrees", "program", "interp")
 def _chk_gl_algebraic(p: Program, i: Interpretation) -> bool:
     return gl_reduct_algebraic(p, i) == gl_reduct(p, i)
 
 
+@_law("flp-reduct-algebraic-agrees", "program", "interp")
 def _chk_flp_algebraic(p: Program, i: Interpretation) -> bool:
     return flp_reduct_algebraic(p, i) == right_reduct(p, i)
 
 
+@_law("context-extension-routes-agree", "program")
 def _chk_context_routes(p: Program) -> bool:
     for j in all_interpretations(p.alphabet):
         context = j.to_program()
@@ -623,12 +797,20 @@ def _chk_context_routes(p: Program) -> bool:
     return True
 
 
+@_law(
+    "se-agreement-implies-context-agreement",
+    "program",
+    "program",
+    "program",
+    single_rule=(0, 1, 2),
+)
 def _chk_se_context_agreement(p: Program, r: Program, q: Program) -> bool:
     if se_models(p) != se_models(r):
         return True  # precondition: only SE-agreeing pairs say anything
     return answer_sets(p | q) == answer_sets(r | q)
 
 
+@_law("equivalence-hierarchy", "program", "program", single_rule=(0, 1))
 def _chk_hierarchy(p: Program, r: Program) -> bool:
     strong = se_models(p) == se_models(r)
     uniform = uniformly_equivalent(p, r).equivalent
@@ -641,366 +823,104 @@ def _chk_hierarchy(p: Program, r: Program) -> bool:
     )
 
 
-# -- non-law checks -------------------------------------------------------------
+# -- non-law checks, each with its stored counterexample --------------------------
+
+_A3 = Alphabet(("a", "b", "c"))
+_A6 = Alphabet(("a", "b", "c", "d", "e", "g"))
+_CHAIN_CONTEXT = _p(
+    _A6,
+    Rule("b", frozenset({"d"})),
+    Rule("b", frozenset({"e"})),
+    Rule("c", frozenset({"g"})),
+)
+
+_ASSOC_WITNESS = (
+    _p(_A6, Rule("a", frozenset({"b", "c"}))),
+    _p(_A6, Rule("b", frozenset({"b"})), Rule("c", frozenset({"b", "c"}))),
+    _CHAIN_CONTEXT,
+)
 
 
+@_law(
+    "compose-associates",
+    "program",
+    "program",
+    "program",
+    expected=NON_LAW,
+    witness=_ASSOC_WITNESS,
+)
 def _chk_assoc(p: Program, r: Program, q: Program) -> bool:
     return compose(p, compose(r, q)) == compose(compose(p, r), q)
 
 
+_LEFT_DIST_WITNESS = (
+    _p(_A3, Rule("a", frozenset({"b", "c"}))),
+    _p(_A3, Rule.fact("b")),
+    _p(_A3, Rule.fact("c")),
+)
+
+
+@_law(
+    "compose-left-distributes-union",
+    "program",
+    "program",
+    "program",
+    expected=NON_LAW,
+    witness=_LEFT_DIST_WITNESS,
+)
 def _chk_left_dist(p: Program, r: Program, q: Program) -> bool:
     return compose(p, r | q) == compose(p, r) | compose(p, q)
 
 
+_CUP_IDEMPOTENT_WITNESS = (
+    _p(_A3, Rule("a", frozenset({"b"})), Rule("a", frozenset({"c"}))),
+)
+
+
+@_law("cup-idempotent", "program", expected=NON_LAW, witness=_CUP_IDEMPOTENT_WITNESS)
 def _chk_cup_idempotent(p: Program) -> bool:
     return cup(p, p) == p
 
 
+_CUP_FACTOR_WITNESS = (
+    _p(_A6, Rule("a", frozenset({"b"}))),
+    _p(_A6, Rule("a", frozenset({"b", "c"}))),
+    _CHAIN_CONTEXT,
+)
+
+
+@_law(
+    "cup-factors-composition-unconditionally",
+    "rule",
+    "rule",
+    "program",
+    expected=NON_LAW,
+    witness=_CUP_FACTOR_WITNESS,
+)
 def _chk_cup_factor_unconditional(r1: Program, r2: Program, q: Program) -> bool:
     return compose(cup(r1, r2), q) == cup(compose(r1, q), compose(r2, q))
 
 
-# -- registry -------------------------------------------------------------------
+_NEGATION_SHIFT_WITNESS = (
+    _p(_A3, Rule("a", frozenset({"b"}), frozenset({"c"}))),
+    _p(_A3, Rule("c", frozenset({"c"}))),
+)
 
 
-def _p(alphabet: Alphabet, *rules: Rule) -> Program:
-    return Program(alphabet, frozenset(rules))
+@_law(
+    "negation-shifts-left",
+    "program",
+    "program",
+    expected=NON_LAW,
+    witness=_NEGATION_SHIFT_WITNESS,
+)
+def _chk_negation_shift(p: Program, r: Program) -> bool:
+    """Negation merges equal bodies before the product, so composing the
+    negation afterwards produces extra cross-terms."""
+    return negate_program(compose(p, r)) == compose(negate_program(p), r)
 
 
-def _build_registry() -> tuple[Law, ...]:
-    a3 = Alphabet(("a", "b", "c"))
-    a6 = Alphabet(("a", "b", "c", "d", "e", "g"))
-    chain_ctx = _p(
-        a6,
-        Rule("b", frozenset({"d"})),
-        Rule("b", frozenset({"e"})),
-        Rule("c", frozenset({"g"})),
-    )
-    witness_assoc = (
-        _p(a6, Rule("a", frozenset({"b", "c"}))),
-        _p(a6, Rule("b", frozenset({"b"})), Rule("c", frozenset({"b", "c"}))),
-        chain_ctx,
-    )
-    witness_left_dist = (
-        _p(a3, Rule("a", frozenset({"b", "c"}))),
-        _p(a3, Rule.fact("b")),
-        _p(a3, Rule.fact("c")),
-    )
-    witness_cup_idem = (
-        _p(a3, Rule("a", frozenset({"b"})), Rule("a", frozenset({"c"}))),
-    )
-    witness_cup_factor = (
-        _p(a6, Rule("a", frozenset({"b"}))),
-        _p(a6, Rule("a", frozenset({"b", "c"}))),
-        chain_ctx,
-    )
-    witness_negation_shift = (
-        _p(a3, Rule("a", frozenset({"b"}), frozenset({"c"}))),
-        _p(a3, Rule("c", frozenset({"c"}))),
-    )
-
-    laws = [
-        Law("compose-right-unit", LAW, ("program",), _chk_right_unit),
-        Law("compose-left-unit", LAW, ("program",), _chk_left_unit),
-        Law("compose-left-zero-empty", LAW, ("program",), _chk_left_zero),
-        Law(
-            "compose-right-distributes-union",
-            LAW,
-            ("program", "program", "program"),
-            _chk_right_dist,
-            reducible=(0, 1),
-            note="composition splits over the rules of its left operand",
-        ),
-        Law(
-            "compose-preserves-facts",
-            LAW,
-            ("program", "program"),
-            _chk_preserves_facts,
-        ),
-        Law(
-            "compose-facts-proper-split",
-            LAW,
-            ("program", "program"),
-            _chk_facts_proper_split,
-        ),
-        Law(
-            "interpretation-left-zero",
-            LAW,
-            ("interp", "program"),
-            _chk_interp_left_zero,
-        ),
-        Law(
-            "krom-left-distributes-union",
-            LAW,
-            ("krom", "program", "program"),
-            _chk_krom_left_dist,
-            reducible=(1, 2),
-            note="with a Krom-Horn left factor, union on the right splits",
-        ),
-        Law(
-            "krom-associates",
-            LAW,
-            ("krom", "program", "program"),
-            _chk_krom_assoc,
-            reducible=(1,),
-            note="single-rule middles suffice: the distribution laws lift them",
-        ),
-        Law("krom-simplified-composition", LAW, ("krom", "program"), _chk_krom_formula),
-        Law(
-            "horn-simplified-composition",
-            LAW,
-            ("horn", "program"),
-            _chk_horn_oracle,
-            cost_weight=5,
-        ),
-        Law(
-            "negative-composition-hornified",
-            LAW,
-            ("negative", "program"),
-            _chk_negative_hornified,
-        ),
-        Law("negation-as-unit-composition", LAW, ("program",), _chk_negation_unit_comp),
-        Law("double-negation-unit", LAW, ("alphabet",), _chk_double_negation_unit),
-        Law("cup-commutes", LAW, ("program", "program"), _chk_cup_commutes),
-        Law(
-            "cup-associates",
-            LAW,
-            ("program", "program", "program"),
-            _chk_cup_assoc,
-            reducible=(0, 1, 2),
-            note="cup is defined pairwise on rules, so single rules suffice",
-        ),
-        Law("cup-unit-alphabet", LAW, ("program",), _chk_cup_unit),
-        Law("cup-zero-empty", LAW, ("program",), _chk_cup_zero),
-        Law(
-            "cup-distributes-union-right",
-            LAW,
-            ("program", "program", "program"),
-            _chk_cup_dist_right,
-            reducible=(0, 1),
-        ),
-        Law(
-            "cup-distributes-union-left",
-            LAW,
-            ("program", "program", "program"),
-            _chk_cup_dist_left,
-            reducible=(0, 1),
-        ),
-        Law(
-            "cup-factors-composition-on-disjoint-bodies",
-            LAW,
-            ("rule", "rule", "program"),
-            _chk_cup_conditional_factor,
-        ),
-        Law("rule-splits-into-parts", LAW, ("rule",), _chk_rule_parts),
-        Law(
-            "body-split-composition",
-            LAW,
-            ("program", "program"),
-            _chk_body_split,
-            cost_weight=2,
-        ),
-        Law("permutation-renames", LAW, ("perm", "program"), _chk_perm_renames),
-        Law(
-            "permutation-dual-inverts",
-            LAW,
-            ("alphabet", "perm"),
-            _chk_perm_dual_unit,
-        ),
-        Law("fact-separation", LAW, ("program",), _chk_fact_separation, cost_weight=3),
-        Law(
-            "union-of-facts-as-star",
-            LAW,
-            ("program", "interp"),
-            _chk_union_facts_star,
-        ),
-        Law("interpretation-star", LAW, ("interp",), _chk_interp_star),
-        Law("tp-is-composition", LAW, ("program", "interp"), _chk_tp_composition),
-        Law(
-            "model-iff-prefixpoint",
-            LAW,
-            ("program", "interp"),
-            _chk_model_prefixpoint,
-        ),
-        Law(
-            "supported-iff-composition-commutes",
-            LAW,
-            ("program", "interp"),
-            _chk_supported_commutes,
-        ),
-        Law("horn-gl-reduct-identity", LAW, ("horn", "interp"), _chk_horn_gl_identity),
-        Law("left-reduct-via-unit", LAW, ("program", "interp"), _chk_left_reduct_unit),
-        Law(
-            "horn-right-reduct-via-unit",
-            LAW,
-            ("horn", "interp"),
-            _chk_horn_right_reduct_unit,
-        ),
-        Law(
-            "negative-gl-reduct-via-composition",
-            LAW,
-            ("negative", "interp"),
-            _chk_negative_gl_comp,
-        ),
-        Law(
-            "negative-right-reduct-via-ominus",
-            LAW,
-            ("negative", "interp"),
-            _chk_negative_right_reduct_ominus,
-            note="composition with the remover keeps literals intact",
-        ),
-        Law(
-            "negative-drops-negated-atoms",
-            LAW,
-            ("negative", "interp"),
-            _chk_negative_drops_negated,
-        ),
-        Law(
-            "gl-reduct-distributes-union",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_gl_union,
-            reducible=(0, 1),
-        ),
-        Law(
-            "gl-reduct-distributes-cup",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_gl_cup,
-            reducible=(0, 1),
-        ),
-        Law(
-            "left-reduct-distributes-union",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_left_union,
-            reducible=(0, 1),
-        ),
-        Law(
-            "left-reduct-distributes-cup",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_left_cup,
-            reducible=(0, 1),
-        ),
-        Law(
-            "right-reduct-distributes-union",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_right_union,
-            reducible=(0, 1),
-        ),
-        Law(
-            "right-reduct-distributes-cup",
-            LAW,
-            ("program", "program", "interp"),
-            _chk_right_cup,
-            reducible=(0, 1),
-        ),
-        Law(
-            "horn-left-reduct-shifts",
-            LAW,
-            ("horn", "horn", "interp"),
-            _chk_horn_left_shift,
-        ),
-        Law(
-            "horn-right-reduct-shifts",
-            LAW,
-            ("horn", "horn", "interp"),
-            _chk_horn_right_shift,
-        ),
-        Law("interpretation-reducts", LAW, ("interp", "interp"), _chk_interp_reducts),
-        Law("ominus-removes-body-atoms", LAW, ("horn", "interp"), _chk_ominus_removes),
-        Law("ominus-restores-facts", LAW, ("interp",), _chk_ominus_restores),
-        Law("oplus-extends-bodies", LAW, ("horn", "literals"), _chk_oplus_extends),
-        Law("oplus-ominus-collapse", LAW, ("interp",), _chk_oplus_ominus_collapse),
-        Law("oplus-absorbs-interpretation", LAW, ("interp",), _chk_oplus_absorbs),
-        Law(
-            "answer-set-iff-minimal-model-of-right-reduct",
-            LAW,
-            ("program", "interp"),
-            _chk_as_minimal_model,
-            cost_weight=10,
-        ),
-        Law("least-model-is-least", LAW, ("horn",), _chk_lm_least, cost_weight=5),
-        Law("horn-answer-sets-least-model", LAW, ("horn",), _chk_horn_answer_sets, cost_weight=5),
-        Law(
-            "gl-reduct-algebraic-agrees",
-            LAW,
-            ("program", "interp"),
-            _chk_gl_algebraic,
-        ),
-        Law(
-            "flp-reduct-algebraic-agrees",
-            LAW,
-            ("program", "interp"),
-            _chk_flp_algebraic,
-        ),
-        Law(
-            "context-extension-routes-agree",
-            LAW,
-            ("program",),
-            _chk_context_routes,
-            cost_weight=30,
-        ),
-        Law(
-            "se-agreement-implies-context-agreement",
-            LAW,
-            ("program", "program", "program"),
-            _chk_se_context_agreement,
-            reducible=(0, 1, 2),
-            cost_weight=100,
-        ),
-        Law(
-            "equivalence-hierarchy",
-            LAW,
-            ("program", "program"),
-            _chk_hierarchy,
-            reducible=(0, 1),
-            cost_weight=300,
-        ),
-        Law(
-            "compose-associates",
-            NON_LAW,
-            ("program", "program", "program"),
-            _chk_assoc,
-            fixed_witnesses=(witness_assoc,),
-        ),
-        Law(
-            "compose-left-distributes-union",
-            NON_LAW,
-            ("program", "program", "program"),
-            _chk_left_dist,
-            fixed_witnesses=(witness_left_dist,),
-        ),
-        Law(
-            "cup-idempotent",
-            NON_LAW,
-            ("program",),
-            _chk_cup_idempotent,
-            fixed_witnesses=(witness_cup_idem,),
-        ),
-        Law(
-            "cup-factors-composition-unconditionally",
-            NON_LAW,
-            ("rule", "rule", "program"),
-            _chk_cup_factor_unconditional,
-            fixed_witnesses=(witness_cup_factor,),
-        ),
-        Law(
-            "negation-shifts-left",
-            NON_LAW,
-            ("program", "program"),
-            _chk_negation_shift,
-            fixed_witnesses=(witness_negation_shift,),
-            note="negation merges equal bodies before the product, so "
-            "composing the negation afterwards produces extra cross-terms",
-        ),
-    ]
-    return tuple(laws)
-
-
-REGISTRY: tuple[Law, ...] = _build_registry()
+REGISTRY: tuple[Law, ...] = tuple(_declared)
 
 
 def get_law(law_id: str) -> Law:
@@ -1014,24 +934,20 @@ def get_law(law_id: str) -> Law:
 
 
 def _shrink(law: Law, operands: tuple) -> tuple:
-    """Greedy rule removal on program operands, keeping the refutation."""
+    """Greedy rule removal on the operands whose kind survives it, keeping
+    the refutation."""
     current = list(operands)
     changed = True
     while changed:
         changed = False
-        for idx, operand in enumerate(current):
-            if not isinstance(operand, Program):
+        for idx, kind in enumerate(law.slots):
+            if not _SLOTS[kind].shrinks:
                 continue
+            operand = current[idx]
             for rule in operand.sorted_rules():
                 trial = list(current)
-                trial[idx] = Program(
-                    operand.alphabet, operand.rules - {rule}
-                )
-                try:
-                    still_refuted = not law.check(*trial)
-                except Exception:
-                    continue  # slot constraint broken (e.g. a rule slot)
-                if still_refuted:
+                trial[idx] = Program(operand.alphabet, operand.rules - {rule})
+                if not law.check(*trial):
                     current = trial
                     changed = True
                     break
@@ -1041,53 +957,17 @@ def _shrink(law: Law, operands: tuple) -> tuple:
 
 
 def serialize_witness(law: Law, operands: tuple) -> tuple[str, ...]:
-    out = []
-    for kind, operand in zip(law.slots, operands):
-        if kind == "interp":
-            out.append(serialize_program(operand.to_program()))
-        elif kind == "literals":
-            out.append(
-                ", ".join(
-                    str(l)
-                    for l in sorted(operand, key=lambda x: (x.negated, x.atom))
-                )
-            )
-        elif kind == "perm":
-            out.append(_perm_text(operand) if operand else "")
-        elif kind == "alphabet":
-            out.append(serialize_program(Program(operand)))
-        else:
-            out.append(serialize_program(operand))
-    return tuple(out)
-
-
-def _perm_text(perm: dict[str, str]) -> str:
-    alphabet = Alphabet(tuple(set(perm) | set(perm.values())))
-    return serialize_permutation(perm, alphabet)
+    return tuple(
+        _SLOTS[kind].text(operand) for kind, operand in zip(law.slots, operands)
+    )
 
 
 def replay_witness(law: Law, witness: tuple[str, ...]) -> bool:
     """Re-parse a serialized witness and re-run the law on it."""
-    programs = [
-        parse_program(text)
-        for kind, text in zip(law.slots, witness)
-        if kind not in ("literals", "perm")
-    ]
-    alphabet = programs[0].alphabet if programs else Alphabet()
-    operands = []
-    for kind, text in zip(law.slots, witness):
-        if kind == "interp":
-            parsed = parse_program(text)
-            operands.append(Interpretation(parsed.alphabet, parsed.fact_atoms()))
-        elif kind == "literals":
-            operands.append(parse_literals(text, alphabet))
-        elif kind == "perm":
-            operands.append(parse_permutation(text))
-        elif kind == "alphabet":
-            operands.append(parse_program(text).alphabet)
-        else:
-            operands.append(parse_program(text))
-    return law.check(*operands)
+    pairs = list(zip(law.slots, witness))
+    texts = [text for kind, text in pairs if _SLOTS[kind].program_text]
+    alphabet = parse_program(texts[0]).alphabet if texts else Alphabet()
+    return law.check(*(_SLOTS[kind].parse(text, alphabet) for kind, text in pairs))
 
 
 # -- the engine -------------------------------------------------------------------
@@ -1095,18 +975,10 @@ def replay_witness(law: Law, witness: tuple[str, ...]) -> bool:
 
 def _exhaustive_plan(law: Law) -> list[tuple]:
     pools = _exhaustive_pools()
-    chosen = [pools[kind] for kind in law.slots]
-    estimate = law.cost_weight
-    for pool in chosen:
-        estimate *= len(pool)
-    for slot in law.reducible:
-        if estimate <= EXHAUSTIVE_BUDGET:
-            break
-        if law.slots[slot] == "program":
-            estimate //= len(chosen[slot])
-            chosen[slot] = pools["single"]
-            estimate *= len(chosen[slot])
-    return chosen
+    return [
+        pools["single" if slot in law.single_rule else kind]
+        for slot, kind in enumerate(law.slots)
+    ]
 
 
 def _run_exhaustive(law: Law) -> tuple[tuple | None, int]:
@@ -1137,8 +1009,9 @@ def run_law(
         if refuting is not None:
             break
         operands = tuple(
-            _sample_slot(
-                kind, config, _derive_seed(config.seed, law.law_id, trial, slot)
+            _SLOTS[kind].sample(
+                random.Random(_derive_seed(config.seed, law.law_id, trial, slot)),
+                config,
             )
             for slot, kind in enumerate(law.slots)
         )

@@ -201,8 +201,9 @@ def parse_program(source: str | SourceProgram, origin: str | None = None) -> Pro
     return _Parser(text, origin).parse()
 
 
-def serialize_program(program: Program) -> str:
-    """Canonical text form; `parse_program` inverts it bit-exactly."""
+def serialize_program(program: Program | ExtProgram) -> str:
+    """Canonical text form; `parse_program` inverts it bit-exactly for a
+    `Program`."""
     atoms = program.alphabet.atoms
     directive = "#alphabet " + ", ".join(atoms) + "." if atoms else "#alphabet."
     lines = [directive]
@@ -211,13 +212,10 @@ def serialize_program(program: Program) -> str:
 
 
 def serialize_ext_program(program: ExtProgram) -> str:
-    """Display form for extended programs (tf output); not re-parseable
-    because truth constants are reserved atoms."""
-    atoms = program.alphabet.atoms
-    directive = "#alphabet " + ", ".join(atoms) + "." if atoms else "#alphabet."
-    lines = [directive]
-    lines.extend(str(rule) for rule in program.sorted_rules())
-    return "\n".join(lines) + "\n"
+    """Display form for extended programs (tf output), laid out as
+    `serialize_program` lays out a program; not re-parseable because truth
+    constants are reserved atoms."""
+    return serialize_program(program)
 
 
 def parse_interpretation(text: str, alphabet: Alphabet) -> Interpretation:

@@ -1,13 +1,16 @@
 """Tests for the seeded law-checking engine."""
 
+import ast
+import math
 import multiprocessing
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from aspalgebra import lawcheck
 from aspalgebra.compose import compose
-from aspalgebra.core import Interpretation
+from aspalgebra.core import Alphabet, Interpretation, Program, Rule
 from aspalgebra.lawcheck import (
     HOLDS,
     LAW,
@@ -23,6 +26,7 @@ from aspalgebra.lawcheck import (
     run_law,
     run_laws,
     serialize_witness,
+    _exhaustive_plan,
     _exhaustive_pools,
 )
 
@@ -185,3 +189,106 @@ def test_unexpected_refutation_is_reported_not_raised():
     assert not result.as_expected
     assert result.witness is not None
     assert replay_witness(bogus, result.witness) is False
+
+
+def test_shrink_lets_check_errors_through():
+    # rule removal keeps a program operand a program, so an error the check
+    # raises while shrinking is a fault of the check and must not be hidden
+    def check(p):
+        if not p.rules:
+            raise ValueError("empty program")
+        return False
+
+    witness = (Program(Alphabet(("a",)), frozenset({Rule.fact("a")})),)
+    law = Law(
+        "raises-on-empty", NON_LAW, ("program",), check, fixed_witnesses=(witness,)
+    )
+    with pytest.raises(ValueError, match="empty program"):
+        run_law(law, CFG, trials=0)
+
+
+def test_registry_order_matches_the_benchmark():
+    # bench/checks.py pins the registry order the benchmark reports against
+    checks = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    tree = ast.parse(checks.read_text(encoding="utf-8"))
+    (law_ids,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAW_IDS"]
+    ]
+    assert [(law.law_id, law.expected) for law in REGISTRY] == list(law_ids)
+
+
+#: Exhaustive-tier trials of each law, as `aspalgebra laws --trials 0
+#: --exhaustive --json` reports them.
+EXHAUSTIVE_TRIALS = {
+    "compose-right-unit": 254,
+    "compose-left-unit": 254,
+    "compose-left-zero-empty": 254,
+    "compose-right-distributes-union": 134366,
+    "compose-preserves-facts": 64516,
+    "compose-facts-proper-split": 64516,
+    "interpretation-left-zero": 1016,
+    "krom-left-distributes-union": 128524,
+    "krom-associates": 128524,
+    "krom-simplified-composition": 5588,
+    "horn-simplified-composition": 9398,
+    "negative-composition-hornified": 9398,
+    "negation-as-unit-composition": 254,
+    "double-negation-unit": 1,
+    "cup-commutes": 64516,
+    "cup-associates": 134366,
+    "cup-unit-alphabet": 254,
+    "cup-zero-empty": 254,
+    "cup-distributes-union-right": 134366,
+    "cup-distributes-union-left": 134366,
+    "cup-factors-composition-on-disjoint-bodies": 122936,
+    "rule-splits-into-parts": 22,
+    "body-split-composition": 64516,
+    "permutation-renames": 508,
+    "permutation-dual-inverts": 2,
+    "fact-separation": 254,
+    "union-of-facts-as-star": 1016,
+    "interpretation-star": 4,
+    "tp-is-composition": 1016,
+    "model-iff-prefixpoint": 1016,
+    "supported-iff-composition-commutes": 1016,
+    "horn-gl-reduct-identity": 148,
+    "left-reduct-via-unit": 1016,
+    "horn-right-reduct-via-unit": 148,
+    "negative-gl-reduct-via-composition": 148,
+    "negative-right-reduct-via-ominus": 148,
+    "negative-drops-negated-atoms": 148,
+    "gl-reduct-distributes-union": 23368,
+    "gl-reduct-distributes-cup": 23368,
+    "left-reduct-distributes-union": 23368,
+    "left-reduct-distributes-cup": 23368,
+    "right-reduct-distributes-union": 23368,
+    "right-reduct-distributes-cup": 23368,
+    "horn-left-reduct-shifts": 5476,
+    "horn-right-reduct-shifts": 5476,
+    "interpretation-reducts": 16,
+    "ominus-removes-body-atoms": 148,
+    "ominus-restores-facts": 4,
+    "oplus-extends-bodies": 407,
+    "oplus-ominus-collapse": 4,
+    "oplus-absorbs-interpretation": 4,
+    "answer-set-iff-minimal-model-of-right-reduct": 1016,
+    "least-model-is-least": 37,
+    "horn-answer-sets-least-model": 37,
+    "gl-reduct-algebraic-agrees": 1016,
+    "flp-reduct-algebraic-agrees": 1016,
+    "context-extension-routes-agree": 254,
+    "se-agreement-implies-context-agreement": 12167,
+    "equivalence-hierarchy": 529,
+}
+
+
+def test_exhaustive_plan_trial_counts():
+    counts = {
+        law.law_id: math.prod(len(pool) for pool in _exhaustive_plan(law))
+        for law in REGISTRY
+        if law.expected == LAW
+    }
+    assert counts == EXHAUSTIVE_TRIALS
