@@ -1,13 +1,13 @@
 """Program transformations.
 
-Sequential composition and the operators around it: the truth-constant
-completion (tf), the or-grouping of bodies per head, pointwise negation of
-or-rules, the overline cleanup that removes truth constants again, the cup
+Sequential composition and the operators around it: negation, the cup
 product that merges bodies of rules with equal heads, body-editing programs,
 and Kleene iteration.
 
-Truth constants exist only between `tf_transform` and `overline`; every
-public entry point that returns a `Program` is constant-free.
+Negation follows the paper: the truth-constant completion (tf) gives every
+atom a rule, the or-form groups each head's bodies, and each or-rule is
+negated pointwise, resolving the truth constants as each rule is built.
+Constants occur only in the output of `tf_transform` and `or_transform`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Iterable
 
 from .core import (
     Alphabet,
-    ExtLiteral,
     ExtProgram,
     ExtRule,
     Interpretation,
@@ -28,20 +27,10 @@ from .core import (
     Program,
     Rule,
     TruthConst,
-    ext_literal_key,
     require_same_alphabet,
     unit_program,
 )
 from .errors import AlphabetMismatchError
-
-
-def complement_ext_literal(lit: ExtLiteral) -> ExtLiteral:
-    """Negation on extended literals: t/f swap, `a` and `not a` swap."""
-    if lit is TruthConst.TRUE:
-        return TruthConst.FALSE
-    if lit is TruthConst.FALSE:
-        return TruthConst.TRUE
-    return lit.complement()
 
 
 def tf_transform(program: Program) -> ExtProgram:
@@ -66,56 +55,40 @@ def tf_transform(program: Program) -> ExtProgram:
 def or_transform(ext_program: ExtProgram) -> OrProgram:
     """Group the rules of each head into a single rule with disjunctive body.
 
-    Bodies are ordered canonically (by their sorted literal keys) so the
+    Heads and bodies come in the canonical order of `sorted_rules`, so the
     result is deterministic.
     """
     grouped: dict[str, list[frozenset]] = {}
     for rule in ext_program.sorted_rules():
-        grouped.setdefault(rule.head, [])
-        if rule.body not in grouped[rule.head]:
-            grouped[rule.head].append(rule.body)
-    or_rules = []
-    for head, bodies in grouped.items():
-        bodies.sort(key=lambda b: tuple(sorted(map(ext_literal_key, b))))
-        or_rules.append(OrRule(head, tuple(bodies)))
-    return OrProgram(ext_program.alphabet, tuple(or_rules))
-
-
-def negate_or_rule(or_rule: OrRule) -> frozenset[ExtRule]:
-    """Negate one or-rule: pick one literal from each disjunct, complement it.
-
-    Every way of choosing a literal per disjunct yields one conjunctive rule;
-    truth constants may appear in the result and are removed by `overline`.
-    """
-    out: set[ExtRule] = set()
-    for choice in product(*or_rule.bodies):
-        body = frozenset(complement_ext_literal(lit) for lit in choice)
-        out.add(ExtRule(or_rule.head, body))
-    return frozenset(out)
-
-
-def overline(ext_program: ExtProgram) -> Program:
-    """Remove truth constants: drop t from bodies, drop rules containing f."""
-    rules: set[Rule] = set()
-    for rule in ext_program.rules:
-        if TruthConst.FALSE in rule.body:
-            continue
-        pos = frozenset(l.atom for l in rule.body if isinstance(l, Literal) and not l.negated)
-        neg = frozenset(l.atom for l in rule.body if isinstance(l, Literal) and l.negated)
-        rules.add(Rule(rule.head, pos, neg))
-    return Program(ext_program.alphabet, frozenset(rules))
+        grouped.setdefault(rule.head, []).append(rule.body)
+    return OrProgram(
+        ext_program.alphabet,
+        tuple(OrRule(head, tuple(bodies)) for head, bodies in grouped.items()),
+    )
 
 
 @lru_cache(maxsize=8192)
 def _negate_cached(program: Program) -> Program:
-    rules: set[ExtRule] = set()
+    """Negate each or-rule of the tf completion pointwise.
+
+    Every choice of one literal per disjunct yields the rule whose body is
+    the complement of the choice.  A chosen `t` complements to `f`, so the
+    rule is dropped; a chosen `f` complements to `t` and leaves the body.
+    """
+    rules: set[Rule] = set()
     for or_rule in or_transform(tf_transform(program)).rules:
-        rules |= negate_or_rule(or_rule)
-    return overline(ExtProgram(program.alphabet, frozenset(rules)))
+        for choice in product(*or_rule.bodies):
+            if TruthConst.TRUE in choice:
+                continue
+            literals = [lit for lit in choice if lit is not TruthConst.FALSE]
+            pos = frozenset(lit.atom for lit in literals if lit.negated)
+            neg = frozenset(lit.atom for lit in literals if not lit.negated)
+            rules.add(Rule(or_rule.head, pos, neg))
+    return Program(program.alphabet, frozenset(rules))
 
 
 def negate_program(program: Program) -> Program:
-    """`not P`: negate the or-form of the tf completion, then clean up."""
+    """`not P`: the pointwise negation of the or-form of the tf completion."""
     return _negate_cached(program)
 
 

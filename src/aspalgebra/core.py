@@ -404,33 +404,13 @@ class OrRule:
     head: str
     bodies: tuple  # tuple[frozenset[ExtLiteral], ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bodies", tuple(frozenset(b) for b in self.bodies))
-
-    def __str__(self) -> str:
-        rendered = [
-            "{" + ", ".join(str(l) for l in sorted(b, key=ext_literal_key)) + "}"
-            for b in self.bodies
-        ]
-        return f"{self.head} :- {' | '.join(rendered)}."
-
 
 @dataclass(frozen=True)
 class OrProgram:
-    """At most one or-rule per head atom, sorted by head."""
+    """One or-rule per head atom, in head order: the output of `or_transform`."""
 
     alphabet: Alphabet
     rules: tuple  # tuple[OrRule, ...]
-
-    def __post_init__(self) -> None:
-        rules = tuple(sorted(self.rules, key=lambda r: r.head))
-        object.__setattr__(self, "rules", rules)
-        heads = [r.head for r in rules]
-        if len(set(heads)) != len(heads):
-            raise ValueError("or-program has two rules with the same head")
-
-    def __str__(self) -> str:
-        return "{" + "  ".join(str(r) for r in self.rules) + "}"
 
 
 def require_same_alphabet(left, right) -> None:

@@ -3,7 +3,9 @@
 A registry of algebraic identities, each tagged with its expected verdict:
 `law` entries must hold on every sampled instance, `non-law` entries ship a
 stored counterexample that must refute them.  Each entry is declared once, by
-the `_law` decorator on its check, and `REGISTRY` keeps declaration order.
+the `_law` decorator on its check (a non-law that is a law's identity on a
+wider class registers that law's check again), and `REGISTRY` keeps
+declaration order.
 The engine runs a seeded random tier (reproducible: every trial's inputs
 derive from the master seed, the law id and the trial index) and an optional
 bounded-exhaustive tier over the two-atom universe of programs with at most
@@ -45,6 +47,7 @@ from .core import (
     Literal,
     Program,
     Rule,
+    literal_key,
     permutation_program,
     unit_program,
 )
@@ -227,8 +230,7 @@ def _read_interp(text: str, alphabet: Alphabet) -> Interpretation:
 
 
 def _literals_text(literals: frozenset[Literal]) -> str:
-    ordered = sorted(literals, key=lambda x: (x.negated, x.atom))
-    return ", ".join(str(l) for l in ordered)
+    return ", ".join(str(l) for l in sorted(literals, key=literal_key))
 
 
 def _perm_text(perm: dict[str, str]) -> str:
@@ -457,13 +459,16 @@ def _chk_interp_left_zero(i: Interpretation, p: Program) -> bool:
 
 @_law("krom-left-distributes-union", "krom", "program", "program", single_rule=(1,))
 def _chk_krom_left_dist(k: Program, p: Program, r: Program) -> bool:
-    """With a Krom-Horn left factor, union on the right splits."""
+    """`k . (p u r) = k . p u k . r`: a law for Krom-Horn `k`, and the
+    non-law `compose-left-distributes-union` for any `k`."""
     return compose(k, p | r) == compose(k, p) | compose(k, r)
 
 
 @_law("krom-associates", "krom", "program", "program", single_rule=(1,))
 def _chk_krom_assoc(k: Program, p: Program, r: Program) -> bool:
-    """Single-rule middles suffice: the distribution laws lift them."""
+    """`k . (p . r) = (k . p) . r`: a law for Krom-Horn `k` (single-rule
+    middles suffice: the distribution laws lift them), and the non-law
+    `compose-associates` for any `k`."""
     return compose(k, compose(p, r)) == compose(compose(k, p), r)
 
 
@@ -841,16 +846,14 @@ _ASSOC_WITNESS = (
 )
 
 
-@_law(
+_law(
     "compose-associates",
     "program",
     "program",
     "program",
     expected=NON_LAW,
     witness=_ASSOC_WITNESS,
-)
-def _chk_assoc(p: Program, r: Program, q: Program) -> bool:
-    return compose(p, compose(r, q)) == compose(compose(p, r), q)
+)(_chk_krom_assoc)
 
 
 _LEFT_DIST_WITNESS = (
@@ -860,16 +863,14 @@ _LEFT_DIST_WITNESS = (
 )
 
 
-@_law(
+_law(
     "compose-left-distributes-union",
     "program",
     "program",
     "program",
     expected=NON_LAW,
     witness=_LEFT_DIST_WITNESS,
-)
-def _chk_left_dist(p: Program, r: Program, q: Program) -> bool:
-    return compose(p, r | q) == compose(p, r) | compose(p, q)
+)(_chk_krom_left_dist)
 
 
 _CUP_IDEMPOTENT_WITNESS = (

@@ -353,16 +353,14 @@ def strongly_equivalent(
     if se_left == se_right:
         return EquivalenceReport(True)
 
-    # Classical-model difference: the facts of the differing model do it.
-    for y in all_interpretations(alphabet):
-        if entails_program(y, left) != entails_program(y, right):
-            report = _distinguishing_report(left, right, y.to_program(), max_atoms)
-            if report is not None:
-                return report
-
-    # Otherwise a differing pair (X, Y) with X < Y yields a context from X
-    # as facts plus a clique of chain rules over Y - X.
-    for x_atoms, y_atoms in sorted(se_left ^ se_right, key=lambda p: (sorted(p[1]), sorted(p[0]))):
+    # A differing pair (X, Y) yields a context from X as facts plus a clique
+    # of chain rules over Y - X.  Pairs with X = Y come first: they are the
+    # classical models of one program only, and their context is the facts
+    # of Y.
+    differing = sorted(
+        se_left ^ se_right, key=lambda p: (p[0] != p[1], sorted(p[1]), sorted(p[0]))
+    )
+    for x_atoms, y_atoms in differing:
         gap = sorted(y_atoms - x_atoms)
         rules = {Rule.fact(a) for a in x_atoms}
         rules |= {

@@ -15,8 +15,7 @@ programs may carry internally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     ATOM_PATTERN,
@@ -34,14 +33,6 @@ from .errors import (
     ReservedAtomError,
     UndeclaredAtomError,
 )
-
-
-@dataclass(frozen=True)
-class SourceProgram:
-    """Raw program text plus an optional origin used in error messages."""
-
-    text: str
-    origin: str | None = None
 
 
 class _Token(NamedTuple):
@@ -192,12 +183,8 @@ class _Parser:
         return Program(alphabet, frozenset(rules))
 
 
-def parse_program(source: str | SourceProgram, origin: str | None = None) -> Program:
+def parse_program(text: str, origin: str | None = None) -> Program:
     """Parse program text into a Program; errors carry line and column."""
-    if isinstance(source, SourceProgram):
-        text, origin = source.text, source.origin
-    else:
-        text = source
     return _Parser(text, origin).parse()
 
 
@@ -218,26 +205,36 @@ def serialize_ext_program(program: ExtProgram) -> str:
     return serialize_program(program)
 
 
+def _entries(text: str, what: str) -> Iterator[str]:
+    """The stripped entries of a comma-separated `what`, in order.  A blank
+    text has none; an empty entry anywhere else is an error."""
+    if not text.strip():
+        return
+    for chunk in text.split(","):
+        entry = chunk.strip()
+        if not entry:
+            raise ParseError(f"empty entry in {what}")
+        yield entry
+
+
+def _check_name(name: str, invalid: str, alphabet: Alphabet | None = None) -> str:
+    """Reject a reserved name, a name that is no atom (with the message
+    `invalid`) and, given an alphabet, a name outside it."""
+    if name in RESERVED_ATOMS:
+        raise ReservedAtomError(f"atom name {name!r} is reserved for a truth constant")
+    if not ATOM_PATTERN.match(name):
+        raise ParseError(invalid)
+    if alphabet is not None and name not in alphabet:
+        raise UndeclaredAtomError(f"atom {name!r} is not in the alphabet {alphabet}")
+    return name
+
+
 def parse_interpretation(text: str, alphabet: Alphabet) -> Interpretation:
     """Parse a comma-separated atom list (possibly empty) over the alphabet."""
-    atoms: set[str] = set()
-    for chunk in text.split(","):
-        name = chunk.strip()
-        if not name:
-            if chunk != text:
-                raise ParseError("empty entry in atom list")
-            continue
-        if name in RESERVED_ATOMS:
-            raise ReservedAtomError(
-                f"atom name {name!r} is reserved for a truth constant"
-            )
-        if not ATOM_PATTERN.match(name):
-            raise ParseError(f"invalid atom name {name!r}")
-        if name not in alphabet:
-            raise UndeclaredAtomError(
-                f"atom {name!r} is not in the alphabet {alphabet}"
-            )
-        atoms.add(name)
+    atoms = {
+        _check_name(name, f"invalid atom name {name!r}", alphabet)
+        for name in _entries(text, "atom list")
+    }
     return Interpretation(alphabet, frozenset(atoms))
 
 
@@ -246,28 +243,15 @@ def serialize_interpretation(interpretation: Interpretation) -> str:
 
 
 def parse_literals(text: str, alphabet: Alphabet) -> frozenset[Literal]:
-    """Parse a comma-separated list of literals like `a, not c`."""
+    """Parse a comma-separated list of literals like `a, not c` (possibly
+    empty) over the alphabet."""
     literals: set[Literal] = set()
-    for chunk in text.split(","):
-        item = chunk.strip()
-        if not item:
-            continue
-        negated = False
-        if item.startswith("not ") or item.startswith("not\t"):
-            negated = True
-            item = item[3:].strip()
+    for entry in _entries(text, "literal list"):
+        negated = entry.startswith(("not ", "not\t"))
+        item = entry[3:].strip() if negated else entry
         if item == "not":
             raise ParseError("'not' is a keyword, not an atom")
-        if item in RESERVED_ATOMS:
-            raise ReservedAtomError(
-                f"atom name {item!r} is reserved for a truth constant"
-            )
-        if not ATOM_PATTERN.match(item):
-            raise ParseError(f"invalid literal {chunk.strip()!r}")
-        if item not in alphabet:
-            raise UndeclaredAtomError(
-                f"atom {item!r} is not in the alphabet {alphabet}"
-            )
+        _check_name(item, f"invalid literal {entry!r}", alphabet)
         literals.add(Literal(item, negated))
     return frozenset(literals)
 
@@ -285,12 +269,7 @@ def parse_permutation(text: str) -> dict[str, str]:
     for group in _CYCLE_RE.finditer(text):
         members = group.group(1).replace(",", " ").split()
         for name in members:
-            if name in RESERVED_ATOMS:
-                raise ReservedAtomError(
-                    f"atom name {name!r} is reserved for a truth constant"
-                )
-            if not ATOM_PATTERN.match(name):
-                raise ParseError(f"invalid atom name {name!r} in permutation")
+            _check_name(name, f"invalid atom name {name!r} in permutation")
             if name in seen:
                 raise NotBijectiveError(
                     f"atom {name!r} appears twice in the permutation"

@@ -162,6 +162,15 @@ def test_ominus_and_oplus(capsys):
     assert out == "#alphabet a, b.\na :- a, not b.\nb :- b, not b.\n"
 
 
+def test_ominus_and_oplus_reject_empty_entries(capsys):
+    code, out, err = run(capsys, "ominus", "-i", "a,,b", "--alphabet", "a,b")
+    assert (code, out) == (2, "")
+    assert "empty entry in atom list" in err
+    code, out, err = run(capsys, "oplus", "-l", "a,,b", "--alphabet", "a,b")
+    assert (code, out) == (2, "")
+    assert "empty entry in literal list" in err
+
+
 def test_star_and_omega(tmp_path, capsys):
     chain = write(tmp_path, "chain.lp", "#alphabet a, b.\na.\nb :- a.\n")
     code, out, _ = run(capsys, "omega", chain)

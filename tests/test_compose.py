@@ -34,6 +34,7 @@ from aspalgebra.core import (
     unit_program,
 )
 from aspalgebra.errors import AlphabetMismatchError
+from aspalgebra.semantics import all_interpretations, tp_direct
 from aspalgebra.textio import parse_program, serialize_ext_program, serialize_program
 
 A2 = Alphabet(("a", "b"))
@@ -323,6 +324,18 @@ def test_compose_matches_subset_oracle():
         p = _random_program(rng, A3)
         r = _random_program(rng, A3)
         assert compose(p, r) == compose_oracle(p, r)
+
+
+def test_negation_complements_one_step_consequences():
+    # an oracle outside the tf/or pipeline: `not P` derives exactly the
+    # atoms that P does not derive, on every interpretation
+    rng = random.Random(8)
+    for _ in range(500):
+        alphabet = rng.choice((A2, A3, A4))
+        p = _random_program(rng, alphabet, max_rules=5, max_body=3)
+        negated = negate_program(p)
+        for i in all_interpretations(alphabet):
+            assert tp_direct(negated, i) == tp_direct(p, i).complement()
 
 
 def _random_program(rng, alphabet, max_rules=4, max_body=2):

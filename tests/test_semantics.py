@@ -283,6 +283,19 @@ def test_strong_equivalence_chain_witness():
     assert answer_sets(left | report.context) != answer_sets(right | report.context)
 
 
+def test_strong_equivalence_prefers_classical_difference():
+    # The SE-models differ at (X, Y) = ({}, {a}) and, classically, at
+    # ({b}, {b}).  The empty context built from ({}, {a}) separates the
+    # programs too, but the classical difference is reported first.
+    left = parse_program("#alphabet a, b.\na :- not a, not b.")
+    right = parse_program("#alphabet a, b.\na.")
+    assert (frozenset(), frozenset({"a"})) in se_models(left) ^ se_models(right)
+    report = strongly_equivalent(left, right)
+    assert serialize_program(report.context) == "#alphabet a, b.\nb.\n"
+    assert report.left_answer_sets == (interp(A2, "b"),)
+    assert report.right_answer_sets == (interp(A2, "a", "b"),)
+
+
 def test_library_path_does_not_compose():
     # the composition routes are checked once, by the laws; the semantic
     # operations themselves never call compose

@@ -162,6 +162,15 @@ def test_parse_literals():
         parse_literals("not z", alpha)
 
 
+@pytest.mark.parametrize("text", ["a,,b", "a,", ", a", " , "])
+def test_atom_and_literal_lists_reject_empty_entries(text):
+    alpha = Alphabet(("a", "b"))
+    with pytest.raises(ParseError, match="empty entry in atom list"):
+        parse_interpretation(text, alpha)
+    with pytest.raises(ParseError, match="empty entry in literal list"):
+        parse_literals(text, alpha)
+
+
 def test_parse_permutation_cycles():
     assert parse_permutation("(a b)(c)") == {"a": "b", "b": "a", "c": "c"}
     assert parse_permutation("(a b c)") == {"a": "b", "b": "c", "c": "a"}
