@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .compose import (
     compose,
@@ -28,7 +28,7 @@ from .compose import (
     oplus,
     tf_transform,
 )
-from .core import Alphabet, Interpretation, Program
+from .core import Alphabet, ExtProgram, Interpretation, Program
 from .errors import AlphabetTooLargeError, AspAlgebraError, InternalMismatchError
 from .lawcheck import GeneratorConfig, run_laws
 from .semantics import (
@@ -49,23 +49,13 @@ from .textio import (
     parse_literals,
     parse_permutation,
     parse_program,
-    serialize_ext_program,
     serialize_interpretation,
     serialize_program,
 )
 
 
-def _split_names(text: str) -> list[str]:
-    return [piece.strip() for piece in text.split(",") if piece.strip()]
-
-
-def _flag_atoms(args: argparse.Namespace) -> set[str]:
-    flag = getattr(args, "alphabet", None)
-    return set(_split_names(flag)) if flag else set()
-
-
 def _load_programs(
-    args: argparse.Namespace, paths: Sequence[str], extra_atoms: Sequence[str] = ()
+    args: argparse.Namespace, paths: Sequence[str] = (), extra_atoms: Iterable[str] = ()
 ) -> tuple[Alphabet, list[Program]]:
     """Parse the input files and re-home everything to the session alphabet:
     the union of all declared alphabets, `--alphabet`, and option atoms."""
@@ -73,7 +63,7 @@ def _load_programs(
         parse_program(Path(path).read_text(encoding="utf-8"), origin=path)
         for path in paths
     ]
-    atoms = _flag_atoms(args) | set(extra_atoms)
+    atoms = set(extra_atoms) | parse_interpretation(args.alphabet).atoms
     for program in programs:
         atoms |= program.alphabet.atom_set
     session = Alphabet(tuple(atoms))
@@ -88,14 +78,7 @@ def _load_programs(
     ]
 
 
-def _literal_atoms(text: str) -> list[str]:
-    names = []
-    for piece in _split_names(text):
-        names.append(piece[4:].strip() if piece.startswith("not ") else piece)
-    return names
-
-
-def _print_program(program: Program) -> int:
+def _print_program(program: Program | ExtProgram) -> int:
     sys.stdout.write(serialize_program(program))
     return 0
 
@@ -125,8 +108,7 @@ def _cmd_not(args: argparse.Namespace) -> int:
 
 def _cmd_tf(args: argparse.Namespace) -> int:
     _, (program,) = _load_programs(args, [args.program])
-    sys.stdout.write(serialize_ext_program(tf_transform(program)))
-    return 0
+    return _print_program(tf_transform(program))
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
@@ -135,17 +117,15 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduct(args: argparse.Namespace) -> int:
-    session, (program,) = _load_programs(
-        args, [args.program], _split_names(args.interp)
-    )
-    interp = parse_interpretation(args.interp, session)
+    atoms = parse_interpretation(args.interp).atoms
+    session, (program,) = _load_programs(args, [args.program], atoms)
     fn = {
         "gl": gl_reduct,
         "left": left_reduct,
         "right": right_reduct,
         "flp": right_reduct,
     }[args.kind]
-    return _print_program(fn(program, interp))
+    return _print_program(fn(program, Interpretation(session, atoms)))
 
 
 def _cmd_star(args: argparse.Namespace) -> int:
@@ -162,16 +142,14 @@ def _cmd_rename(args: argparse.Namespace) -> int:
 
 
 def _cmd_ominus(args: argparse.Namespace) -> int:
-    atoms = _split_names(args.interp)
-    session = Alphabet(tuple(_flag_atoms(args) | set(atoms)))
-    interp = parse_interpretation(args.interp, session)
-    return _print_program(ominus(interp))
+    atoms = parse_interpretation(args.interp).atoms
+    session, _ = _load_programs(args, extra_atoms=atoms)
+    return _print_program(ominus(Interpretation(session, atoms)))
 
 
 def _cmd_oplus(args: argparse.Namespace) -> int:
-    atoms = _literal_atoms(args.literals)
-    session = Alphabet(tuple(_flag_atoms(args) | set(atoms)))
-    literals = parse_literals(args.literals, session)
+    literals = parse_literals(args.literals)
+    session, _ = _load_programs(args, extra_atoms=(lit.atom for lit in literals))
     return _print_program(oplus(literals, session))
 
 
@@ -179,11 +157,9 @@ def _cmd_oplus(args: argparse.Namespace) -> int:
 
 
 def _cmd_tp(args: argparse.Namespace) -> int:
-    session, (program,) = _load_programs(
-        args, [args.program], _split_names(args.interp)
-    )
-    interp = parse_interpretation(args.interp, session)
-    return _print_interpretation(tp_direct(program, interp))
+    atoms = parse_interpretation(args.interp).atoms
+    session, (program,) = _load_programs(args, [args.program], atoms)
+    return _print_interpretation(tp_direct(program, Interpretation(session, atoms)))
 
 
 def _cmd_lm(args: argparse.Namespace) -> int:
@@ -296,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--alphabet",
+        default="",
         metavar="ATOMS",
         help="comma-separated atoms added to the session alphabet",
     )

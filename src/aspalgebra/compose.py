@@ -37,7 +37,9 @@ def tf_transform(program: Program) -> ExtProgram:
     """Complete a program so every atom heads at least one non-fact rule.
 
     Proper rules are kept, each fact `a` becomes `a :- t`, and every atom
-    that heads no rule at all gets `a :- f`.
+    that heads no rule at all gets `a :- f`.  `serialize_program` lays the
+    result out for display only: it does not parse back, since the truth
+    constants `t` and `f` are reserved atom names.
     """
     heads = program.heads()
     rules: set[ExtRule] = set()

@@ -26,7 +26,8 @@ from .errors import (
     ReservedAtomError,
 )
 
-ATOM_PATTERN = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+#: The one rule for atom names; the keyword `not` is never an atom.
+ATOM_PATTERN = re.compile(r"(?!not\Z)[a-z][a-zA-Z0-9_]*\Z")
 
 #: Names reserved for the truth constants used inside the negation pipeline.
 RESERVED_ATOMS = frozenset({"t", "f"})

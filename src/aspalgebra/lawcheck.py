@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cache, partial
 from itertools import combinations, product
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .compose import (
     compose,
@@ -225,8 +225,7 @@ def _read_program(text: str, alphabet: Alphabet) -> Program:
 
 
 def _read_interp(text: str, alphabet: Alphabet) -> Interpretation:
-    parsed = parse_program(text)
-    return Interpretation(parsed.alphabet, parsed.fact_atoms())
+    return Interpretation.from_fact_program(parse_program(text))
 
 
 def _literals_text(literals: frozenset[Literal]) -> str:
@@ -1031,23 +1030,18 @@ def run_law(
 def run_laws(
     config: GeneratorConfig,
     trials: int = 200,
-    laws: Iterable[Law] | None = None,
     exhaustive: bool = False,
 ) -> list[LawResult]:
     """Check every registered law; deterministic for a given configuration.
 
     Laws are checked in worker processes, one per CPU.  Results come back in
-    the order of `laws` (registry order by default) and equal those of
-    calling `run_law` on each law in turn, since every trial's inputs derive
-    from the seed, the law id and the trial index alone.  The laws must
-    therefore be picklable, as every registry law is (its check is a
-    module-level function); call `run_law` directly for an ad-hoc law such as
-    one built around a lambda.  Workers are started with `spawn`, so a script
-    that calls `run_laws` needs the usual `if __name__ == "__main__":` guard.
+    registry order and equal those of calling `run_law` on each law in turn,
+    since every trial's inputs derive from the seed, the law id and the trial
+    index alone.  Workers are started with `spawn`, so a script that calls
+    `run_laws` needs the usual `if __name__ == "__main__":` guard.
     """
-    selected = REGISTRY if laws is None else tuple(laws)
     check = partial(run_law, config=config, trials=trials, exhaustive=exhaustive)
     # spawn, not fork: forking a caller that runs threads can deadlock workers
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(mp_context=spawn) as pool:
-        return list(pool.map(check, selected))
+        return list(pool.map(check, REGISTRY))

@@ -34,6 +34,7 @@ from .errors import (
     InternalMismatchError,
     NotHornError,
 )
+from .textio import serialize_program
 
 #: Default cap on alphabet size for operations enumerating all interpretations.
 DEFAULT_MAX_ATOMS = 20
@@ -343,7 +344,8 @@ def strongly_equivalent(
     on sampled contexts).  A negative verdict carries a concrete verified
     distinguishing context: facts where possible, otherwise a chain context
     built from a differing SE-model.  Finding none is a library bug and
-    raises InternalMismatchError.
+    raises InternalMismatchError, whose message holds both operands as
+    program text.
     """
     require_same_alphabet(left, right)
     _check_enumeration_bound(left.alphabet, max_atoms)
@@ -371,5 +373,6 @@ def strongly_equivalent(
         if report is not None:
             return report
     raise InternalMismatchError(
-        "SE-models differ but no distinguishing context was found"
+        "SE-models differ but no distinguishing context was found for\n"
+        f"left:\n{serialize_program(left)}right:\n{serialize_program(right)}"
     )

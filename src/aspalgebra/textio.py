@@ -113,7 +113,7 @@ class _Parser:
                 token.column,
                 self.origin,
             )
-        if token.value == "not" or not ATOM_PATTERN.match(token.value):
+        if not ATOM_PATTERN.match(token.value):
             raise self.fail(f"expected {what}, found {token.value!r}", token)
         return token
 
@@ -190,19 +190,12 @@ def parse_program(text: str, origin: str | None = None) -> Program:
 
 def serialize_program(program: Program | ExtProgram) -> str:
     """Canonical text form; `parse_program` inverts it bit-exactly for a
-    `Program`."""
+    `Program` (an `ExtProgram` is laid out the same way, for display)."""
     atoms = program.alphabet.atoms
     directive = "#alphabet " + ", ".join(atoms) + "." if atoms else "#alphabet."
     lines = [directive]
     lines.extend(str(rule) for rule in program.sorted_rules())
     return "\n".join(lines) + "\n"
-
-
-def serialize_ext_program(program: ExtProgram) -> str:
-    """Display form for extended programs (tf output), laid out as
-    `serialize_program` lays out a program; not re-parseable because truth
-    constants are reserved atoms."""
-    return serialize_program(program)
 
 
 def _entries(text: str, what: str) -> Iterator[str]:
@@ -229,28 +222,29 @@ def _check_name(name: str, invalid: str, alphabet: Alphabet | None = None) -> st
     return name
 
 
-def parse_interpretation(text: str, alphabet: Alphabet) -> Interpretation:
-    """Parse a comma-separated atom list (possibly empty) over the alphabet."""
-    atoms = {
+def parse_interpretation(text: str, alphabet: Alphabet | None = None) -> Interpretation:
+    """Parse a comma-separated atom list (possibly empty) over the alphabet,
+    or, without one, over the atoms the list names."""
+    atoms = frozenset(
         _check_name(name, f"invalid atom name {name!r}", alphabet)
         for name in _entries(text, "atom list")
-    }
-    return Interpretation(alphabet, frozenset(atoms))
+    )
+    if alphabet is None:
+        alphabet = Alphabet(tuple(atoms))
+    return Interpretation(alphabet, atoms)
 
 
 def serialize_interpretation(interpretation: Interpretation) -> str:
     return ", ".join(sorted(interpretation.atoms))
 
 
-def parse_literals(text: str, alphabet: Alphabet) -> frozenset[Literal]:
+def parse_literals(text: str, alphabet: Alphabet | None = None) -> frozenset[Literal]:
     """Parse a comma-separated list of literals like `a, not c` (possibly
-    empty) over the alphabet."""
+    empty) over the alphabet, or, without one, over the atoms it names."""
     literals: set[Literal] = set()
     for entry in _entries(text, "literal list"):
         negated = entry.startswith(("not ", "not\t"))
         item = entry[3:].strip() if negated else entry
-        if item == "not":
-            raise ParseError("'not' is a keyword, not an atom")
         _check_name(item, f"invalid literal {entry!r}", alphabet)
         literals.add(Literal(item, negated))
     return frozenset(literals)

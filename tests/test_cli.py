@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
 from aspalgebra import cli
 from aspalgebra.cli import main
 from aspalgebra.errors import InternalMismatchError
+from aspalgebra.textio import parse_program, serialize_program
 
 CHOICE = "#alphabet a, b.\na :- not b.\nb :- not a.\n"
 FACT_A = "#alphabet a, b.\na.\n"
@@ -225,3 +228,67 @@ def test_output_is_deterministic(tmp_path, capsys):
     first = run(capsys, "answer-sets", choice)
     second = run(capsys, "answer-sets", choice)
     assert first == second
+
+
+def test_not_is_no_atom_on_the_command_line(tmp_path, capsys):
+    program = write(tmp_path, "p.lp", "#alphabet a, b.\na.\nb :- a, not b.\n")
+    for argv in (
+        ("ominus", "-i", "not", "--alphabet", "a,b"),
+        ("reduct", "-i", "not", program),
+        ("tp", "-i", "not", program),
+        ("compose", "--alphabet", "not", program, program),
+        ("rename", "--perm", "(a not)", program),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:")
+
+
+def test_alphabet_flag_rejects_empty_entries(capsys):
+    for flag in ("a,,b", "a,", " , "):
+        code, out, err = run(capsys, "ominus", "-i", "a", "--alphabet", flag)
+        assert (code, out) == (2, ""), flag
+        assert "empty entry in atom list" in err
+
+
+def test_oplus_reads_not_before_a_tab_as_negation(capsys):
+    spaced = run(capsys, "oplus", "-l", "not a")
+    tabbed = run(capsys, "oplus", "-l", "not\ta")
+    assert tabbed == spaced
+    assert spaced[:2] == (0, "#alphabet a.\na :- a, not a.\n")
+
+
+# Every program-printing command of this module, plus inputs that once
+# printed programs the parser could not read back, as (argv, {p}, {q}).
+# `tf` is left out: its truth constants make its output display-only.
+ABC_RULE = "#alphabet a, b, c.\na :- b.\n"
+PROGRAM_COMMANDS = [
+    (("compose", "{p}", "{q}"), ABC_RULE, "#alphabet a, b, c.\nb :- c.\n"),
+    (("cup", "{p}", "{q}"), ABC_RULE, "#alphabet a, c.\na :- c.\n"),
+    (("not", "{p}"), "#alphabet a, b.\n", ""),
+    (("not", "{p}"), CHOICE, ""),
+    (("dual", "{p}"), "#alphabet a, b, c.\na.\nb :- a, c.\n", ""),
+    (("reduct", "--kind", "gl", "-i", "a", "{p}"), "a.\nb :- a, not b.\n", ""),
+    (("reduct", "--kind", "left", "-i", "a", "{p}"), CHOICE, ""),
+    (("reduct", "--kind", "right", "-i", "b", "{p}"), CHOICE, ""),
+    (("reduct", "--kind", "flp", "-i", "", "{p}"), CHOICE, ""),
+    (("reduct", "-i", "not", "{p}"), CHOICE, ""),
+    (("star", "{p}"), "#alphabet a, b.\na.\nb :- a.\n", ""),
+    (("rename", "--perm", "(a b)", "{p}"), ABC_RULE, ""),
+    (("compose", "--alphabet", "not", "{p}", "{p}"), FACT_A, ""),
+    (("ominus", "-i", "a", "--alphabet", "a, b"), "", ""),
+    (("ominus", "-i", "not", "--alphabet", "a,b"), "", ""),
+    (("oplus", "-l", "not b", "--alphabet", "a, b"), "", ""),
+    (("oplus", "-l", "not\ta"), "", ""),
+    (("oplus", "-l", "not not"), "", ""),
+]
+
+
+@pytest.mark.parametrize("argv, p, q", PROGRAM_COMMANDS)
+def test_printed_programs_parse_back(tmp_path, capsys, argv, p, q):
+    paths = {"p": write(tmp_path, "p.lp", p), "q": write(tmp_path, "q.lp", q)}
+    code, out, _ = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code in (0, 2)
+    assert (code == 0) == bool(out)
+    if out:
+        assert serialize_program(parse_program(out)) == out

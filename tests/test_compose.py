@@ -35,7 +35,7 @@ from aspalgebra.core import (
 )
 from aspalgebra.errors import AlphabetMismatchError
 from aspalgebra.semantics import all_interpretations, tp_direct
-from aspalgebra.textio import parse_program, serialize_ext_program, serialize_program
+from aspalgebra.textio import parse_program, serialize_program
 
 A2 = Alphabet(("a", "b"))
 A3 = Alphabet(("a", "b", "c"))
@@ -48,7 +48,7 @@ R_NEGATED_HEAD = parse_program("#alphabet a, b, c, d.\na :- not b.")
 
 
 def test_tf_makes_truth_values_explicit():
-    assert serialize_ext_program(tf_transform(R_BODY_CHOICE)) == (
+    assert serialize_program(tf_transform(R_BODY_CHOICE)) == (
         "#alphabet a, b, c, d.\n"
         "a :- f.\n"
         "b :- c, d.\n"
@@ -60,7 +60,7 @@ def test_tf_makes_truth_values_explicit():
 
 def test_tf_rewrites_facts_to_true():
     p = parse_program("#alphabet a, b.\na.")
-    assert serialize_ext_program(tf_transform(p)) == (
+    assert serialize_program(tf_transform(p)) == (
         "#alphabet a, b.\na :- t.\nb :- f.\n"
     )
 

@@ -47,6 +47,12 @@ def test_alphabet_rejects_bad_names():
         Alphabet(("a", "f"))
 
 
+def test_alphabet_rejects_the_not_keyword():
+    with pytest.raises(ValueError):
+        Alphabet(("not",))
+    check_atom_name("nota")
+
+
 def test_check_atom_name_accepts_word_shapes():
     for name in ("a", "p1", "aliceBob", "x_y_2"):
         check_atom_name(name)

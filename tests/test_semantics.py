@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from aspalgebra import semantics
 from aspalgebra.compose import compose, cup, ominus, omega
 from aspalgebra.core import Alphabet, Interpretation, Program, Rule, unit_program
-from aspalgebra.errors import AlphabetTooLargeError, NotHornError
+from aspalgebra.errors import AlphabetTooLargeError, InternalMismatchError, NotHornError
 from aspalgebra.semantics import (
     all_interpretations,
     answer_sets,
@@ -294,6 +295,21 @@ def test_strong_equivalence_prefers_classical_difference():
     assert serialize_program(report.context) == "#alphabet a, b.\nb.\n"
     assert report.left_answer_sets == (interp(A2, "b"),)
     assert report.right_answer_sets == (interp(A2, "a", "b"),)
+
+
+def test_internal_mismatch_message_holds_both_operands(monkeypatch):
+    # equal programs given different SE-models: no context can separate
+    # them, and the error carries both operands as parseable program text
+    program = parse_program("#alphabet a, b.\na :- not b.\nb :- a.")
+    models = se_models(program)
+    answers = iter([models, models - {(frozenset("ab"), frozenset("ab"))}])
+    monkeypatch.setattr(semantics, "se_models", lambda p, max_atoms: next(answers))
+    with pytest.raises(InternalMismatchError) as caught:
+        strongly_equivalent(program, program)
+    _, operands = str(caught.value).split("\nleft:\n")
+    left_text, right_text = operands.split("right:\n")
+    assert parse_program(left_text) == program
+    assert parse_program(right_text) == program
 
 
 def test_library_path_does_not_compose():

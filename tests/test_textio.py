@@ -171,6 +171,24 @@ def test_atom_and_literal_lists_reject_empty_entries(text):
         parse_literals(text, alpha)
 
 
+def test_lists_without_alphabet_range_over_their_atoms():
+    assert parse_interpretation("b, a") == Interpretation(
+        Alphabet(("a", "b")), frozenset({"a", "b"})
+    )
+    assert parse_interpretation(" ") == Interpretation(Alphabet(()), frozenset())
+    assert parse_literals("a, not\tc") == frozenset({Literal("a"), Literal("c", True)})
+
+
+def test_not_is_no_atom_in_lists():
+    alpha = Alphabet(("a", "b"))
+    with pytest.raises(ParseError, match="invalid atom name 'not'"):
+        parse_interpretation("not", alpha)
+    with pytest.raises(ParseError, match="invalid literal 'not not'"):
+        parse_literals("not not", alpha)
+    with pytest.raises(ParseError, match="invalid atom name 'not' in permutation"):
+        parse_permutation("(a not)")
+
+
 def test_parse_permutation_cycles():
     assert parse_permutation("(a b)(c)") == {"a": "b", "b": "a", "c": "c"}
     assert parse_permutation("(a b c)") == {"a": "b", "b": "c", "c": "a"}
