@@ -5,9 +5,10 @@ byte-deterministic output: programs one rule per line in sorted order behind
 an alphabet directive, interpretations as one comma-separated line.
 
 Exit codes: 0 success (and `equiv` verdict "equivalent"), 1 a negative
-`equiv` or `laws` verdict, 2 parse or alphabet errors, 3 enumeration bound
-violations, 4 an internal error (two routes that must agree did not: a
-library bug, not an input error).
+`equiv` or `laws` verdict, 2 usage, parse or alphabet errors (an option the
+command does not read is a usage error), 3 enumeration bound violations, 4
+an internal error (two routes that must agree did not: a library bug, not an
+input error).
 """
 
 from __future__ import annotations
@@ -269,34 +270,34 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--alphabet",
-        default="",
-        metavar="ATOMS",
-        help="comma-separated atoms added to the session alphabet",
-    )
-    common.add_argument(
-        "--max-atoms",
-        type=int,
-        default=DEFAULT_MAX_ATOMS,
-        metavar="N",
-        help="largest alphabet allowed in interpretation enumeration",
-    )
-    common.add_argument(
-        "--json", action="store_true", help="machine-readable verdicts where supported"
-    )
-
     parser = argparse.ArgumentParser(
         prog="aspalgebra",
         description="Sequential composition algebra for propositional programs.",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    # Each command declares only the options it reads, so an option given to
+    # a command that would ignore it is a usage error (exit 2).  All commands
+    # but `laws` build a session alphabet, so `add` gives them `--alphabet`.
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        p.add_argument(
+            "--alphabet",
+            default="",
+            metavar="ATOMS",
+            help="comma-separated atoms added to the session alphabet",
+        )
         return p
+
+    def add_max_atoms(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-atoms",
+            type=int,
+            default=DEFAULT_MAX_ATOMS,
+            metavar="N",
+            help="largest alphabet allowed in interpretation enumeration",
+        )
 
     p = add("compose", _cmd_compose, "sequential composition of two programs")
     p.add_argument("left")
@@ -334,16 +335,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
 
     p = add("answer-sets", _cmd_answer_sets, "all answer sets, one per line")
+    add_max_atoms(p)
     p.add_argument("program")
 
     p = add("equiv", _cmd_equiv, "equivalence verdict with witness")
+    add_max_atoms(p)
+    p.add_argument("--json", action="store_true", help="the verdict as one JSON object")
     p.add_argument(
         "--mode", choices=("as", "subsumption", "uniform", "strong"), default="as"
     )
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("laws", _cmd_laws, "run the algebraic law suite")
+    p = sub.add_parser("laws", help="run the algebraic law suite")
+    p.set_defaults(func=_cmd_laws)
+    p.add_argument("--json", action="store_true", help="the results as one JSON list")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--atoms", type=int, default=3)

@@ -220,11 +220,11 @@ def _program_text(program: Program) -> str:
     return serialize_program(program)
 
 
-def _read_program(text: str, alphabet: Alphabet) -> Program:
+def _read_program(text: str) -> Program:
     return parse_program(text)
 
 
-def _read_interp(text: str, alphabet: Alphabet) -> Interpretation:
+def _read_interp(text: str) -> Interpretation:
     return Interpretation.from_fact_program(parse_program(text))
 
 
@@ -242,15 +242,15 @@ def _perm_text(perm: dict[str, str]) -> str:
 @dataclass(frozen=True)
 class _Slot:
     """One slot kind: how an operand is drawn, written as witness text and
-    read back (`parse` gets the witness's alphabet)."""
+    read back from that text alone (programs, interpretations and alphabets
+    carry `#alphabet`, permutations their fixed points; a literal list needs
+    no alphabet, since `oplus` checks its atoms against the Horn operand)."""
 
     sample: Callable[[random.Random, GeneratorConfig], Any]
     #: removing a rule keeps the operand in its kind, so witnesses shrink
     shrinks: bool = False
     text: Callable[[Any], str] = _program_text
-    parse: Callable[[str, Alphabet], Any] = _read_program
-    #: the witness text is a program; the first such text gives the alphabet
-    program_text: bool = True
+    parse: Callable[[str], Any] = _read_program
 
 
 _SLOTS: dict[str, _Slot] = {
@@ -267,19 +267,17 @@ _SLOTS: dict[str, _Slot] = {
     "literals": _Slot(
         _random_literals,
         text=_literals_text,
-        parse=lambda text, alphabet: parse_literals(text, alphabet),
-        program_text=False,
+        parse=lambda text: parse_literals(text),
     ),
     "perm": _Slot(
         _random_perm,
         text=_perm_text,
-        parse=lambda text, alphabet: parse_permutation(text),
-        program_text=False,
+        parse=lambda text: parse_permutation(text),
     ),
     "alphabet": _Slot(
         lambda rng, config: alphabet_for(config),
         text=lambda alphabet: serialize_program(Program(alphabet)),
-        parse=lambda text, alphabet: parse_program(text).alphabet,
+        parse=lambda text: parse_program(text).alphabet,
     ),
 }
 
@@ -964,10 +962,9 @@ def serialize_witness(law: Law, operands: tuple) -> tuple[str, ...]:
 
 def replay_witness(law: Law, witness: tuple[str, ...]) -> bool:
     """Re-parse a serialized witness and re-run the law on it."""
-    pairs = list(zip(law.slots, witness))
-    texts = [text for kind, text in pairs if _SLOTS[kind].program_text]
-    alphabet = parse_program(texts[0]).alphabet if texts else Alphabet()
-    return law.check(*(_SLOTS[kind].parse(text, alphabet) for kind, text in pairs))
+    return law.check(
+        *(_SLOTS[kind].parse(text) for kind, text in zip(law.slots, witness))
+    )
 
 
 # -- the engine -------------------------------------------------------------------

@@ -206,8 +206,14 @@ def least_model(horn: Program) -> Interpretation:
         current = step
 
 
-def all_interpretations(alphabet: Alphabet) -> Iterator[Interpretation]:
-    """Every subset of the alphabet, in canonical (sorted-tuple) order."""
+def all_interpretations(
+    alphabet: Alphabet, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> Iterator[Interpretation]:
+    """Every subset of the alphabet, in canonical (sorted-tuple) order.  An
+    alphabet of more than `max_atoms` atoms raises AlphabetTooLargeError at
+    the call, before an iterator is returned."""
+    if len(alphabet) > max_atoms:
+        raise AlphabetTooLargeError(len(alphabet), max_atoms)
     atoms = alphabet.atoms
 
     def rec(prefix: list[str], start: int) -> Iterator[Interpretation]:
@@ -217,12 +223,7 @@ def all_interpretations(alphabet: Alphabet) -> Iterator[Interpretation]:
             yield from rec(prefix, idx + 1)
             prefix.pop()
 
-    yield from rec([], 0)
-
-
-def _check_enumeration_bound(alphabet: Alphabet, max_atoms: int) -> None:
-    if len(alphabet) > max_atoms:
-        raise AlphabetTooLargeError(len(alphabet), max_atoms)
+    return rec([], 0)
 
 
 def is_answer_set(program: Program, interpretation: Interpretation) -> bool:
@@ -235,10 +236,8 @@ def answer_sets(
     program: Program, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> tuple[Interpretation, ...]:
     """All answer sets, in the canonical interpretation order."""
-    _check_enumeration_bound(program.alphabet, max_atoms)
-    return tuple(
-        i for i in all_interpretations(program.alphabet) if is_answer_set(program, i)
-    )
+    candidates = all_interpretations(program.alphabet, max_atoms)
+    return tuple(i for i in candidates if is_answer_set(program, i))
 
 
 # -- equivalences -------------------------------------------------------------
@@ -279,8 +278,7 @@ def subsumption_equivalent(
     canonical order, on which the consequences differ.
     """
     require_same_alphabet(left, right)
-    _check_enumeration_bound(left.alphabet, max_atoms)
-    for i in all_interpretations(left.alphabet):
+    for i in all_interpretations(left.alphabet, max_atoms):
         if tp_direct(left, i) != tp_direct(right, i):
             return EquivalenceReport(False, i.to_program())
     return EquivalenceReport(True)
@@ -306,8 +304,7 @@ def uniformly_equivalent(
     gives the same answer sets by the law `context-extension-routes-agree`.
     """
     require_same_alphabet(left, right)
-    _check_enumeration_bound(left.alphabet, max_atoms)
-    for j in all_interpretations(left.alphabet):
+    for j in all_interpretations(left.alphabet, max_atoms):
         report = _distinguishing_report(left, right, j.to_program(), max_atoms)
         if report is not None:
             return report
@@ -319,9 +316,8 @@ SEModel = tuple[frozenset[str], frozenset[str]]
 
 def se_models(program: Program, max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[SEModel]:
     """All pairs (X, Y) with X <= Y, Y a model, and X a model of the GL reduct."""
-    _check_enumeration_bound(program.alphabet, max_atoms)
     out: set[SEModel] = set()
-    for y in all_interpretations(program.alphabet):
+    for y in all_interpretations(program.alphabet, max_atoms):
         if not entails_program(y, program):
             continue
         reduct = gl_reduct(program, y)
@@ -348,7 +344,6 @@ def strongly_equivalent(
     program text.
     """
     require_same_alphabet(left, right)
-    _check_enumeration_bound(left.alphabet, max_atoms)
     alphabet = left.alphabet
     se_left = se_models(left, max_atoms)
     se_right = se_models(right, max_atoms)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -292,3 +294,101 @@ def test_printed_programs_parse_back(tmp_path, capsys, argv, p, q):
     assert (code == 0) == bool(out)
     if out:
         assert serialize_program(parse_program(out)) == out
+
+
+# Each command with the arguments it needs and the shared options it reads.
+# Parsing fails before any file is opened, so the paths need not exist.
+COMMAND_OPTIONS = {
+    "compose": (("p.lp", "q.lp"), {"--alphabet"}),
+    "cup": (("p.lp", "q.lp"), {"--alphabet"}),
+    "not": (("p.lp",), {"--alphabet"}),
+    "tf": (("p.lp",), {"--alphabet"}),
+    "dual": (("p.lp",), {"--alphabet"}),
+    "reduct": (("-i", "a", "p.lp"), {"--alphabet"}),
+    "tp": (("-i", "a", "p.lp"), {"--alphabet"}),
+    "lm": (("p.lp",), {"--alphabet"}),
+    "star": (("p.lp",), {"--alphabet"}),
+    "omega": (("p.lp",), {"--alphabet"}),
+    "answer-sets": (("p.lp",), {"--alphabet", "--max-atoms"}),
+    "equiv": (("p.lp", "q.lp"), {"--alphabet", "--max-atoms", "--json"}),
+    "laws": (("--trials", "1"), {"--json"}),
+    "ominus": (("-i", "a"), {"--alphabet"}),
+    "oplus": (("-l", "a"), {"--alphabet"}),
+    "rename": (("--perm", "(a b)", "p.lp"), {"--alphabet"}),
+}
+SHARED_OPTIONS = {"--alphabet": ("not",), "--max-atoms": ("0",), "--json": ()}
+# `equiv` reads every shared option, so it is given another command's option.
+UNREAD_OPTIONS = [
+    (command, (option, *SHARED_OPTIONS[option]))
+    for command, (_, reads) in COMMAND_OPTIONS.items()
+    for option in SHARED_OPTIONS
+    if option not in reads
+] + [("equiv", ("--seed", "1"))]
+
+
+def _subcommands():
+    (action,) = cli._build_parser()._subparsers._group_actions
+    return set(action.choices)
+
+
+def test_option_tables_cover_every_subcommand():
+    assert set(COMMAND_OPTIONS) == _subcommands()
+    assert {command for command, _ in UNREAD_OPTIONS} == _subcommands()
+    assert sum(len(reads) for _, reads in COMMAND_OPTIONS.values()) == 19
+
+
+@pytest.mark.parametrize(
+    "command, option", UNREAD_OPTIONS, ids=[c + o[0] for c, o in UNREAD_OPTIONS]
+)
+def test_option_a_command_does_not_read_is_a_usage_error(capsys, command, option):
+    args, _ = COMMAND_OPTIONS[command]
+    with pytest.raises(SystemExit) as caught:
+        main([command, *option, *args])
+    captured = capsys.readouterr()
+    assert caught.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_each_command_accepts_the_options_it_reads(command):
+    args, reads = COMMAND_OPTIONS[command]
+    argv = [command, *args]
+    for option in sorted(reads):
+        argv += [option, *SHARED_OPTIONS[option]]
+    assert cli._build_parser().parse_args(argv).command == command
+
+
+def test_read_options_still_act(tmp_path, capsys):
+    # --alphabet widens the session alphabet past --max-atoms: exit 3
+    choice = write(tmp_path, "choice.lp", CHOICE)
+    argv = ("answer-sets", "--alphabet", "c", "--max-atoms", "2", choice)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "alphabet has 3 atoms; enumeration is capped at 2" in err
+    code, out, _ = run(capsys, "equiv", "--json", "--max-atoms", "2", choice, choice)
+    assert code == 0
+    assert json.loads(out)["equivalent"] is True
+
+
+def _readme_command_lines():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("aspalgebra ")]
+
+
+README_COMMAND_LINES = _readme_command_lines()
+
+
+def test_readme_shows_every_subcommand():
+    shown = {shlex.split(line, comments=True)[1] for line in README_COMMAND_LINES}
+    assert shown == _subcommands()
+
+
+@pytest.mark.parametrize(
+    "line", README_COMMAND_LINES, ids=[line.split()[1] for line in README_COMMAND_LINES]
+)
+def test_readme_command_lines_parse(line):
+    argv = shlex.split(line, comments=True)[1:]
+    assert cli._build_parser().parse_args(argv).command == argv[0]

@@ -3,6 +3,7 @@
 import ast
 import math
 import multiprocessing
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,6 +141,17 @@ def test_witness_serialization_round_trip():
     texts = serialize_witness(law, witness)
     assert all(text.startswith("#alphabet") for text in texts)
     assert replay_witness(law, texts) is False
+
+
+@pytest.mark.parametrize("kind", sorted(lawcheck._SLOTS))
+def test_slot_witness_text_reads_back_alone(kind):
+    # the text of one operand is enough to rebuild it: no other slot's
+    # alphabet is needed, so replay parses each text on its own
+    slot = lawcheck._SLOTS[kind]
+    rng = random.Random(kind)
+    for _ in range(25):
+        operand = slot.sample(rng, CFG)
+        assert slot.parse(slot.text(operand)) == operand
 
 
 def test_shrink_never_grows_a_witness():

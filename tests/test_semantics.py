@@ -203,6 +203,29 @@ def test_answer_set_enumeration_bound():
     assert answer_sets(p, max_atoms=5) == (Interpretation(Alphabet(atoms), frozenset()),)
 
 
+# Every entry that enumerates interpretations, called with a cap one below
+# the three-atom alphabet of its operands.
+CAPPED_ENUMERATIONS = {
+    "all_interpretations": lambda p, q, n: all_interpretations(p.alphabet, n),
+    "answer_sets": lambda p, q, n: answer_sets(p, n),
+    "subsumption_equivalent": subsumption_equivalent,
+    "uniformly_equivalent": uniformly_equivalent,
+    "se_models": lambda p, q, n: se_models(p, n),
+    "strongly_equivalent": strongly_equivalent,
+}
+
+
+@pytest.mark.parametrize("name", CAPPED_ENUMERATIONS)
+def test_enumerations_refuse_past_the_cap_at_the_call(name):
+    # the call itself refuses: all_interpretations's iterator is never
+    # advanced here, so a check made on the first next() would not raise
+    p = parse_program("#alphabet a, b, c.\na :- not b.")
+    q = parse_program("#alphabet a, b, c.\nb :- not a.")
+    with pytest.raises(AlphabetTooLargeError, match="capped at 2"):
+        CAPPED_ENUMERATIONS[name](p, q, 2)
+    CAPPED_ENUMERATIONS[name](p, q, 3)
+
+
 def test_all_interpretations_canonical_order():
     listed = [str(i) for i in all_interpretations(A2)]
     assert listed == ["{}", "{a}", "{a, b}", "{b}"]
