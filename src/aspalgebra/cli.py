@@ -269,12 +269,28 @@ def _cmd_laws(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses unknown arguments itself, under
+    its own usage line.  An unknown option is named alone: its value may have
+    been taken as a positional, which moves a later positional into the
+    unknown arguments too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            options = [a for a in extras if len(a) > 1 and a[0] in self.prefix_chars]
+            self.error(f"unrecognized arguments: {' '.join(options or extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aspalgebra",
         description="Sequential composition algebra for propositional programs.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = parser.add_subparsers(
+        dest="command", metavar="COMMAND", parser_class=_CommandParser
+    )
 
     # Each command declares only the options it reads, so an option given to
     # a command that would ignore it is a usage error (exit 2).  All commands

@@ -816,6 +816,13 @@ def _chk_se_context_agreement(p: Program, r: Program, q: Program) -> bool:
 def _chk_hierarchy(p: Program, r: Program) -> bool:
     strong = se_models(p) == se_models(r)
     uniform = uniformly_equivalent(p, r).equivalent
+    # the UE-model decision must give the verdict of every fact context
+    by_contexts = all(
+        answer_sets(p | j.to_program()) == answer_sets(r | j.to_program())
+        for j in all_interpretations(p.alphabet)
+    )
+    if uniform != by_contexts:
+        return False
     ordinary = equivalent(p, r)
     subsuming = subsumption_equivalent(p, r).equivalent
     return (

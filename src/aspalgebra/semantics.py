@@ -6,8 +6,10 @@ programs, answer sets, and the equivalence notions up to strong equivalence.
 
 Each operation has one direct implementation, and the library itself only
 uses that one: the one-step operator `tp_direct`, least models by fixpoint
-iteration, the reducts by their definitions, and the equivalences through
-answer sets of `P u context` and SE-models.  The algebraic routes of the
+iteration, the reducts by their definitions, ordinary and subsumption
+equivalence through answer sets and one-step consequences, uniform
+equivalence through UE-models and strong equivalence through SE-models, both
+enumerated one classical model at a time.  The algebraic routes of the
 paper (`tp` as composition with an interpretation, `omega`, the algebraic
 GL/FLP reducts, `star(J) . P` as a fact context) stay public and return
 their own result; that they agree with the direct routes is stated once, as
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .compose import compose, cup, ominus
 from .core import (
@@ -294,40 +296,111 @@ def _distinguishing_report(
     return None
 
 
-def uniformly_equivalent(
-    left: Program, right: Program, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> EquivalenceReport:
-    """Same answer sets under every fact context.
-
-    Each context J is applied as `P u J`; a negative verdict carries the
-    first separating J in canonical order.  The paper's route `star(J) . P`
-    gives the same answer sets by the law `context-extension-routes-agree`.
-    """
-    require_same_alphabet(left, right)
-    for j in all_interpretations(left.alphabet, max_atoms):
-        report = _distinguishing_report(left, right, j.to_program(), max_atoms)
-        if report is not None:
-            return report
-    return EquivalenceReport(True)
-
-
 SEModel = tuple[frozenset[str], frozenset[str]]
 
 
-def se_models(program: Program, max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[SEModel]:
-    """All pairs (X, Y) with X <= Y, Y a model, and X a model of the GL reduct."""
-    out: set[SEModel] = set()
+def _se_layers(
+    program: Program, max_atoms: int
+) -> Iterator[tuple[frozenset[str], list[frozenset[str]]]]:
+    """For each classical model Y, in canonical order, Y and the X <= Y that
+    model the GL reduct P^Y, by increasing size: the SE-models one Y at a
+    time."""
     for y in all_interpretations(program.alphabet, max_atoms):
         if not entails_program(y, program):
             continue
         reduct = gl_reduct(program, y)
         y_atoms = sorted(y.atoms)
+        xs = []
         for size in range(len(y_atoms) + 1):
             for picked in combinations(y_atoms, size):
                 x = Interpretation(program.alphabet, frozenset(picked))
                 if entails_program(x, reduct):
-                    out.add((x.atoms, y.atoms))
+                    xs.append(x.atoms)
+        yield y.atoms, xs
+
+
+def se_models(program: Program, max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[SEModel]:
+    """All pairs (X, Y) with X <= Y, Y a model, and X a model of the GL reduct."""
+    return frozenset((x, y) for y, xs in _se_layers(program, max_atoms) for x in xs)
+
+
+def ue_models(program: Program, max_atoms: int = DEFAULT_MAX_ATOMS) -> frozenset[SEModel]:
+    """The SE-models (X, Y) where X = Y or X is maximal among the X' < Y of
+    the SE-models (X', Y) (Eiter & Fink, ICLP 2003)."""
+    out: set[SEModel] = set()
+    for y, xs in _se_layers(program, max_atoms):
+        # Largest first: a strict superset of X below Y lies inside some
+        # maximal X' that is larger than X, so it is already kept.
+        maximal: list[frozenset[str]] = []
+        for x in reversed(xs[:-1]):  # xs ends with Y itself
+            if not any(x < kept for kept in maximal):
+                maximal.append(x)
+        out.add((y, y))
+        out.update((x, y) for x in maximal)
     return frozenset(out)
+
+
+def _separating_report(
+    left: Program,
+    right: Program,
+    differing: frozenset[SEModel],
+    context_of: Callable[[frozenset[str], frozenset[str]], Program],
+    what: str,
+    max_atoms: int,
+) -> EquivalenceReport:
+    """The report of the first differing model (X, Y) whose context
+    `context_of(X, Y)` separates the programs by answer sets.  Pairs with
+    X = Y come first: they are the classical models of one program only.
+    Finding none is a library bug: InternalMismatchError, whose message
+    holds both operands as program text."""
+    ordered = sorted(
+        differing, key=lambda p: (p[0] != p[1], sorted(p[1]), sorted(p[0]))
+    )
+    for x_atoms, y_atoms in ordered:
+        context = context_of(x_atoms, y_atoms)
+        report = _distinguishing_report(left, right, context, max_atoms)
+        if report is not None:
+            return report
+    raise InternalMismatchError(
+        f"{what} differ but no distinguishing context was found for\n"
+        f"left:\n{serialize_program(left)}right:\n{serialize_program(right)}"
+    )
+
+
+def uniformly_equivalent(
+    left: Program, right: Program, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> EquivalenceReport:
+    """Same answer sets under every fact context J, applied as `P u J`.
+
+    Decided by comparing the sets of UE-models, never the 2^n contexts
+    themselves, after one check of the empty context: if the two programs'
+    own answer sets differ, the report carries the empty context.
+    Otherwise a negative verdict carries the facts of X from the first
+    differing UE-model (X, Y), in the order of `strongly_equivalent`, whose
+    facts separate the programs by answer sets.  Finding none is a library
+    bug and raises InternalMismatchError, whose message holds both operands
+    as program text.  The law `equivalence-hierarchy` checks the verdict
+    against the loop over all fact contexts, and the paper's route
+    `star(J) . P` gives the answer sets of `P u J` by the law
+    `context-extension-routes-agree`.
+    """
+    require_same_alphabet(left, right)
+    # The empty context first: where the answer sets already differ, that
+    # costs 2 x 2^n candidates instead of up to 3^n reduct-model checks.
+    report = _distinguishing_report(left, right, Program(left.alphabet), max_atoms)
+    if report is not None:
+        return report
+    ue_left = ue_models(left, max_atoms)
+    ue_right = ue_models(right, max_atoms)
+    if ue_left == ue_right:
+        return EquivalenceReport(True)
+
+    def facts(x_atoms: frozenset[str], y_atoms: frozenset[str]) -> Program:
+        return Interpretation(left.alphabet, x_atoms).to_program()
+
+    return _separating_report(
+        left, right, ue_left ^ ue_right, facts, "UE-models", max_atoms
+    )
 
 
 def strongly_equivalent(
@@ -350,24 +423,14 @@ def strongly_equivalent(
     if se_left == se_right:
         return EquivalenceReport(True)
 
-    # A differing pair (X, Y) yields a context from X as facts plus a clique
-    # of chain rules over Y - X.  Pairs with X = Y come first: they are the
-    # classical models of one program only, and their context is the facts
-    # of Y.
-    differing = sorted(
-        se_left ^ se_right, key=lambda p: (p[0] != p[1], sorted(p[1]), sorted(p[0]))
-    )
-    for x_atoms, y_atoms in differing:
+    # A differing pair (X, Y) yields X as facts plus a clique of chain rules
+    # over Y - X; for X = Y that is the facts of Y.
+    def chain(x_atoms: frozenset[str], y_atoms: frozenset[str]) -> Program:
         gap = sorted(y_atoms - x_atoms)
         rules = {Rule.fact(a) for a in x_atoms}
-        rules |= {
-            Rule(a, frozenset({b})) for a in gap for b in gap if a != b
-        }
-        context = Program(alphabet, frozenset(rules))
-        report = _distinguishing_report(left, right, context, max_atoms)
-        if report is not None:
-            return report
-    raise InternalMismatchError(
-        "SE-models differ but no distinguishing context was found for\n"
-        f"left:\n{serialize_program(left)}right:\n{serialize_program(right)}"
+        rules |= {Rule(a, frozenset({b})) for a in gap for b in gap if a != b}
+        return Program(alphabet, frozenset(rules))
+
+    return _separating_report(
+        left, right, se_left ^ se_right, chain, "SE-models", max_atoms
     )

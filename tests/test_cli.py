@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from aspalgebra import cli
+from aspalgebra import cli, semantics
 from aspalgebra.cli import main
 from aspalgebra.errors import InternalMismatchError
 from aspalgebra.textio import parse_program, serialize_program
@@ -219,6 +219,20 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert err == "internal error: two routes disagree\n"
 
 
+def test_uniform_route_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    # UE-models that differ, for one program against itself: no fact context
+    # separates, so the library reports its own bug with both operands
+    fact = write(tmp_path, "fact.lp", FACT_A)
+    answers = iter([frozenset(), frozenset({(frozenset("a"), frozenset("a"))})])
+    monkeypatch.setattr(semantics, "ue_models", lambda p, max_atoms: next(answers))
+    code, out, err = run(capsys, "equiv", "--mode", "uniform", fact, fact)
+    assert (code, out) == (4, "")
+    assert err == (
+        "internal error: UE-models differ but no distinguishing context was "
+        f"found for\nleft:\n{FACT_A}right:\n{FACT_A}\n"
+    )
+
+
 def test_no_subcommand_prints_help(capsys):
     code, _, err = run(capsys)
     assert code == 2
@@ -347,7 +361,12 @@ def test_option_a_command_does_not_read_is_a_usage_error(capsys, command, option
     captured = capsys.readouterr()
     assert caught.value.code == 2
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    # the command's own usage line, and the option alone: never the
+    # positional its value displaced
+    assert captured.err.startswith(f"usage: aspalgebra {command} ")
+    assert captured.err.endswith(
+        f"aspalgebra {command}: error: unrecognized arguments: {option[0]}\n"
+    )
 
 
 @pytest.mark.parametrize("command", COMMAND_OPTIONS)

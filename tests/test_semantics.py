@@ -30,6 +30,7 @@ from aspalgebra.semantics import (
     subsumption_equivalent,
     tp,
     tp_direct,
+    ue_models,
     uniformly_equivalent,
 )
 from aspalgebra.textio import parse_program, serialize_program
@@ -272,6 +273,72 @@ def test_uniform_equivalence_positive():
     assert report.equivalent and report.context is None
 
 
+def _fact_context_verdict(left, right):
+    """Uniform equivalence by its definition: every fact context agrees."""
+    return all(
+        answer_sets(left | j.to_program()) == answer_sets(right | j.to_program())
+        for j in all_interpretations(left.alphabet)
+    )
+
+
+def test_uniform_equivalence_agrees_with_every_fact_context():
+    rng = random.Random(13)
+    negatives = 0
+    for _ in range(2000):
+        alphabet = Alphabet(tuple("abcd"[: rng.randint(1, 4)]))
+        left = _random_program(rng, alphabet)
+        right = _random_program(rng, alphabet)
+        if rng.random() < 0.5:  # share rules, so that many pairs agree
+            right = left | right
+        report = uniformly_equivalent(left, right)
+        assert report.equivalent == _fact_context_verdict(left, right)
+        if report.equivalent:
+            assert report.context is None
+            continue
+        negatives += 1
+        assert not report.context.proper().rules  # a set of facts
+        assert report.left_answer_sets == answer_sets(left | report.context)
+        assert report.right_answer_sets == answer_sets(right | report.context)
+        assert report.left_answer_sets != report.right_answer_sets
+    assert 200 < negatives < 1800
+
+
+def test_ue_models_match_the_definition():
+    rng = random.Random(14)
+    for _ in range(300):
+        p = _random_program(rng, A3)
+        se = se_models(p)
+        maximal = {
+            (x, y)
+            for x, y in se
+            if x == y or not any(x < x2 < y for x2, y2 in se if y2 == y)
+        }
+        assert ue_models(p) == maximal
+    # {a :- not b. a :- b.} and {a.} differ in SE-models at ({}, {a, b}),
+    # which is not maximal below {a, b}: their UE-models agree
+    split = parse_program("#alphabet a, b.\na :- not b.\na :- b.")
+    fact = parse_program("#alphabet a, b.\na.")
+    assert se_models(split) != se_models(fact)
+    assert ue_models(split) == ue_models(fact)
+
+
+def test_positive_uniform_verdict_checks_only_the_empty_context(monkeypatch):
+    # a fact-context loop would compute 2 * 2^10 answer-set enumerations here;
+    # the UE route computes the two operands' own answer sets and no more
+    alphabet = Alphabet(tuple(f"a{k}" for k in range(10)))
+    rng = random.Random(15)
+    program = Program(alphabet)
+    while len(program.rules) < 20:
+        program = program | _random_program(rng, alphabet, max_rules=1)
+    calls = []
+    counted = semantics.answer_sets
+    monkeypatch.setattr(
+        semantics, "answer_sets", lambda *a: calls.append(a) or counted(*a)
+    )
+    assert uniformly_equivalent(program, Program(alphabet, program.rules)).equivalent
+    assert [p for p, _ in calls] == [program, program]
+
+
 def test_se_models():
     p = parse_program("#alphabet a.\na :- not a.")
     q = parse_program("#alphabet a.\na.")
@@ -320,19 +387,30 @@ def test_strong_equivalence_prefers_classical_difference():
     assert report.right_answer_sets == (interp(A2, "a", "b"),)
 
 
-def test_internal_mismatch_message_holds_both_operands(monkeypatch):
-    # equal programs given different SE-models: no context can separate
-    # them, and the error carries both operands as parseable program text
+def _mismatch_operands(monkeypatch, models_name, decide):
+    # equal programs given different models: no context can separate them,
+    # and the error carries both operands as parseable program text
     program = parse_program("#alphabet a, b.\na :- not b.\nb :- a.")
-    models = se_models(program)
+    models = getattr(semantics, models_name)(program)
     answers = iter([models, models - {(frozenset("ab"), frozenset("ab"))}])
-    monkeypatch.setattr(semantics, "se_models", lambda p, max_atoms: next(answers))
+    monkeypatch.setattr(semantics, models_name, lambda p, max_atoms: next(answers))
     with pytest.raises(InternalMismatchError) as caught:
-        strongly_equivalent(program, program)
-    _, operands = str(caught.value).split("\nleft:\n")
+        decide(program, program)
+    head, operands = str(caught.value).split("\nleft:\n")
     left_text, right_text = operands.split("right:\n")
     assert parse_program(left_text) == program
     assert parse_program(right_text) == program
+    return head
+
+
+def test_internal_mismatch_message_holds_both_operands(monkeypatch):
+    head = _mismatch_operands(monkeypatch, "se_models", strongly_equivalent)
+    assert head == "SE-models differ but no distinguishing context was found for"
+
+
+def test_uniform_internal_mismatch_message_holds_both_operands(monkeypatch):
+    head = _mismatch_operands(monkeypatch, "ue_models", uniformly_equivalent)
+    assert head == "UE-models differ but no distinguishing context was found for"
 
 
 def test_library_path_does_not_compose():
